@@ -3,7 +3,7 @@
 
 GO ?= go
 BENCH_COUNT ?= 6
-BENCH_PATTERN ?= BenchmarkParallelReliability|BenchmarkEstimateMany|BenchmarkEstimateEdges|BenchmarkCSRvsLegacy|BenchmarkCandidateEval|BenchmarkVectorMC|BenchmarkAnytimeEstimate|BenchmarkApply
+BENCH_PATTERN ?= BenchmarkParallelReliability|BenchmarkEstimateMany|BenchmarkEstimateEdges|BenchmarkCSRvsLegacy|BenchmarkCandidateEval|BenchmarkVectorMC|BenchmarkAnytimeEstimate|BenchmarkApply|BenchmarkSolveWorkers
 
 .PHONY: build test race bench bench-smoke bench-baseline bench-compare bench-gate fuzz-smoke smoke-relmaxd cover lint fmt ci
 
@@ -81,14 +81,15 @@ smoke-relmaxd:
 	./scripts/relmaxd_smoke.sh
 
 # Short fuzz smoke: each target fuzzes for 10s on top of the checked-in
-# seed corpus, catching shallow regressions in the I/O, Freeze and
-# durability-decode paths.
+# seed corpus, catching shallow regressions in the I/O, Freeze,
+# durability-decode and replication-frame-decode paths.
 fuzz-smoke:
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzEdgeListRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/ugraph -run '^$$' -fuzz '^FuzzFreezeConsistency$$' -fuzztime 10s
 	$(GO) test ./internal/sampling -run '^$$' -fuzz '^FuzzMCVecScalarReplay$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzWALDecode$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime 10s
+	$(GO) test ./internal/replication -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime 10s
 
 # Coverage with a ratchet: fail if total coverage drops below the recorded
 # baseline (.github/coverage-baseline.txt). Raise the baseline when a PR

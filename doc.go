@@ -297,9 +297,16 @@
 // order-of-magnitude throughput win over scalar MC at the same budget.
 // Its determinism contract matches the scalar samplers — a fixed seed is
 // bit-identical across runs and worker counts (shard budgets are
-// 64-aligned so lane blocks never split) — but its random stream differs
-// from scalar MC's, so "mc" and "mcvec" estimates agree statistically, not
-// bitwise.
+// 64-aligned so lane blocks never split).
+//
+// All four samplers draw from one generator, SplitMix64 (rng.SplitMix64),
+// whose reseed is O(1). The scalar samplers (mc, rss, lazy) once drew from
+// math/rand; moving them to SplitMix64 deliberately changed their streams,
+// so their fixed-seed estimates differ from releases built on math/rand
+// (statistically equivalent, not bitwise), while mcvec's stream, and with
+// it the candidate sets of mcvec elimination, did not change. mcvec still
+// draws a different stream from mc: it consumes the generator 64 lanes at
+// a time, so "mc" and "mcvec" estimates agree statistically, not bitwise.
 //
 // # Snapshots and the sampling hot path
 //

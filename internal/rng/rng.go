@@ -1,7 +1,9 @@
 // Package rng provides small deterministic random-number utilities used
-// across the library. All stochastic components (samplers, generators,
-// experiment drivers) accept an explicit *rand.Rand so that every run is
-// reproducible from a single seed.
+// across the library. Every run is reproducible from a single seed: the
+// samplers draw from SplitMix64, a value-type stream whose reseed is O(1),
+// while the generators, dataset builders and experiment drivers take an
+// explicit *rand.Rand derived through New and Split (so the generated
+// datasets and query workloads keep their historical streams).
 package rng
 
 import (
@@ -54,34 +56,46 @@ func Bernoulli(r *rand.Rand, p float64) bool {
 	return r.Float64() < p
 }
 
-// Mask64 is a SplitMix64 word stream dedicated to the vector sampler's
-// Bernoulli digit draws. It exists because the mask generator burns ~8
-// words per edge mask and math/rand pays an interface dispatch per word;
-// SplitMix64 is a counter with a finalizer, so Uint64 inlines into the
-// caller's loop. The seed is passed through the finalizer once so that
-// structured seeds (0, 1, 2, ... from SplitSeed shards) start at
-// decorrelated counter positions rather than adjacent ones.
-type Mask64 struct {
+// SplitMix64 is the random stream of every sampler (Steele, Lea & Flood,
+// "Fast splittable pseudorandom number generators", OOPSLA 2014): a 64-bit
+// counter advanced by a fixed odd gamma and passed through a finalizer.
+// The scalar samplers (mc, rss, lazy) draw one Float64 per coin flip and
+// the vector sampler draws BernoulliMask words from it. Samplers hold it by
+// value and walks take the concrete *SplitMix64, so every draw inlines
+// into the caller's loop (no interface dispatch), and Seed is a single
+// store — ParallelSampler reseeds once per shard per call. The seed is
+// passed through the finalizer once so that structured seeds (0, 1, 2, ...
+// from SplitSeed shards) start at decorrelated counter positions rather
+// than adjacent ones.
+type SplitMix64 struct {
 	x uint64
 }
 
-// NewMask64 returns a mask stream seeded deterministically from seed.
-func NewMask64(seed int64) Mask64 {
-	return Mask64{x: splitmix64(uint64(seed))}
+// NewSplitMix64 returns a stream seeded deterministically from seed.
+func NewSplitMix64(seed int64) SplitMix64 {
+	return SplitMix64{x: splitmix64(uint64(seed))}
 }
 
-// Seed resets the stream to the state NewMask64(seed) starts from.
-func (m *Mask64) Seed(seed int64) {
+// Seed resets the stream to the state NewSplitMix64(seed) starts from.
+func (m *SplitMix64) Seed(seed int64) {
 	m.x = splitmix64(uint64(seed))
 }
 
 // Uint64 returns the next word of the stream.
-func (m *Mask64) Uint64() uint64 {
+func (m *SplitMix64) Uint64() uint64 {
 	m.x += 0x9e3779b97f4a7c15
 	x := m.x
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
+}
+
+// Float64 returns a uniform value in [0, 1): the top 53 bits of the next
+// word scaled by 2^-53, so every representable multiple of 2^-53 is
+// equally likely and 1 is never returned (a coin flip `u < p` is therefore
+// always false at p = 0 and always true at p = 1).
+func (m *SplitMix64) Float64() float64 {
+	return float64(m.Uint64()>>11) * 0x1p-53
 }
 
 // BernoulliMask draws 64 independent Bernoulli(p) trials at once and packs
@@ -101,7 +115,7 @@ func (m *Mask64) Uint64() uint64 {
 // still undecided after the last digit have a uniform exactly equal to p's
 // finite expansion and resolve to failure, matching the strict `u < p`
 // convention of Bernoulli.
-func BernoulliMask(r *Mask64, p float64) uint64 {
+func BernoulliMask(r *SplitMix64, p float64) uint64 {
 	if p <= 0 {
 		return 0
 	}

@@ -74,7 +74,7 @@ func TestPerm(t *testing.T) {
 }
 
 func TestBernoulliMaskEdges(t *testing.T) {
-	r := NewMask64(4)
+	r := NewSplitMix64(4)
 	for i := 0; i < 100; i++ {
 		if m := BernoulliMask(&r, 0); m != 0 {
 			t.Fatalf("BernoulliMask(0) = %#x, want 0", m)
@@ -97,7 +97,7 @@ func TestBernoulliMaskEdges(t *testing.T) {
 // cannot hide in an aggregate count.
 func TestBernoulliMaskRate(t *testing.T) {
 	for _, p := range []float64{0.05, 0.3, 0.5, 0.75, 1.0 / 3.0} {
-		r := NewMask64(5)
+		r := NewSplitMix64(5)
 		const trials = 8000
 		var perLane [64]int
 		for i := 0; i < trials; i++ {
@@ -122,11 +122,60 @@ func TestBernoulliMaskRate(t *testing.T) {
 
 // TestBernoulliMaskDeterministic pins the stream: same seed, same masks.
 func TestBernoulliMaskDeterministic(t *testing.T) {
-	a, b := NewMask64(6), NewMask64(6)
+	a, b := NewSplitMix64(6), NewSplitMix64(6)
 	for i := 0; i < 200; i++ {
 		p := float64(i%97) / 97
 		if ma, mb := BernoulliMask(&a, p), BernoulliMask(&b, p); ma != mb {
 			t.Fatalf("iteration %d: masks diverged %#x vs %#x", i, ma, mb)
+		}
+	}
+}
+
+// TestSplitMix64KnownAnswers pins the generator to the published
+// SplitMix64 reference outputs for a zero counter, so the sampler stream
+// cannot drift silently.
+func TestSplitMix64KnownAnswers(t *testing.T) {
+	r := SplitMix64{}
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := r.Uint64(); got != want {
+			t.Fatalf("word %d = %#x, want %#x", i, got, want)
+		}
+	}
+}
+
+// TestSplitMix64Float64 checks the Float64 definition (top 53 bits of the
+// next word times 2^-53) word for word, its [0, 1) range and its mean.
+func TestSplitMix64Float64(t *testing.T) {
+	a, b := NewSplitMix64(7), NewSplitMix64(7)
+	sum := 0.0
+	const n = 20000
+	for i := 0; i < n; i++ {
+		u := a.Float64()
+		if want := float64(b.Uint64()>>11) / (1 << 53); u != want {
+			t.Fatalf("draw %d = %v, want %v", i, u, want)
+		}
+		if u < 0 || u >= 1 {
+			t.Fatalf("draw %d = %v outside [0, 1)", i, u)
+		}
+		sum += u
+	}
+	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
+		t.Fatalf("mean of %d draws = %v, want ~0.5", n, mean)
+	}
+}
+
+// TestSplitMix64SeedResets pins the O(1) reseed: Seed(s) after arbitrary
+// use restarts exactly where NewSplitMix64(s) starts.
+func TestSplitMix64SeedResets(t *testing.T) {
+	used := NewSplitMix64(1)
+	for i := 0; i < 37; i++ {
+		used.Uint64()
+	}
+	used.Seed(9)
+	fresh := NewSplitMix64(9)
+	for i := 0; i < 16; i++ {
+		if a, b := used.Uint64(), fresh.Uint64(); a != b {
+			t.Fatalf("word %d after Seed: %#x, fresh stream %#x", i, a, b)
 		}
 	}
 }

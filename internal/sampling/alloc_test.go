@@ -77,9 +77,27 @@ func TestReliabilityZeroAllocs(t *testing.T) {
 			vec.Reseed(3)
 			vec.Reliability(g, s, tt)
 		})
+		// Reseed is O(1) for any seed: ParallelSampler reseeds every shard
+		// with a fresh seed, so Reseed plus a snapshot-level estimate must
+		// stay allocation-free as the seed rotates.
+		c := g.Freeze()
+		seeds := []int64{3, rng.SplitSeed(3, 1), -11}
+		for _, cs := range []CSRSampler{mc, rs, lz} {
+			for _, seed := range seeds { // warm-up: every recursion shape
+				cs.Reseed(seed)
+				cs.ReliabilityCSR(c, s, tt)
+			}
+			next := 0
+			if allocs := testing.AllocsPerRun(30, func() {
+				cs.Reseed(seeds[next%len(seeds)])
+				next++
+				cs.ReliabilityCSR(c, s, tt)
+			}); allocs != 0 {
+				t.Errorf("%s/reseed%s: %v allocs per Reseed+ReliabilityCSR, want 0", cs.Name(), suffix, allocs)
+			}
+		}
 		// The backward orientation returns a fresh counts vector (inherent
 		// to the API); the vector loop behind it must add nothing.
-		c := g.Freeze()
 		vec.ReliabilityToCSR(c, tt) // warm-up
 		if allocs := testing.AllocsPerRun(10, func() {
 			vec.Reseed(3)

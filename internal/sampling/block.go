@@ -66,7 +66,7 @@ func (bs *mcBlocks) SampleBlock(n int) (float64, int) {
 	mc := bs.mc
 	hits := 0
 	for i := 0; i < n; i++ {
-		if sampledWalkPlain(&mc.sc, mc.r, bs.c, bs.s, bs.t, true) {
+		if sampledWalkPlain(&mc.sc, &mc.r, bs.c, bs.s, bs.t, true) {
 			hits++
 		}
 	}

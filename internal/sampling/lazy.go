@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/rng"
 	"repro/internal/ugraph"
@@ -20,7 +19,7 @@ import (
 // edge is present with exactly probability p.
 type Lazy struct {
 	z  int
-	r  *rand.Rand
+	r  rng.SplitMix64
 	sc scratch
 	// nextOn[eid] is the next sample index (1-based) at which the edge
 	// will be present; 0 means not yet initialized for this query.
@@ -31,7 +30,7 @@ type Lazy struct {
 
 // NewLazy returns a lazy-propagation sampler drawing z worlds per query.
 func NewLazy(z int, seed int64) *Lazy {
-	return &Lazy{z: z, r: rng.New(seed)}
+	return &Lazy{z: z, r: rng.NewSplitMix64(seed)}
 }
 
 // Name implements Sampler.
@@ -44,7 +43,8 @@ func (lz *Lazy) SampleSize() int { return lz.z }
 func (lz *Lazy) SetSampleSize(z int) { lz.z = z }
 
 // Reseed implements Sampler. The geometric schedules are per-query state
-// (reset by prepare), so restoring the RNG stream is sufficient.
+// (reset by prepare), so restoring the RNG stream — an O(1) reset — is
+// sufficient.
 func (lz *Lazy) Reseed(seed int64) { lz.r.Seed(seed) }
 
 // geometricSkip draws the number of additional samples until the edge is

@@ -1,8 +1,6 @@
 package sampling
 
 import (
-	"math/rand"
-
 	"repro/internal/rng"
 	"repro/internal/ugraph"
 )
@@ -14,7 +12,7 @@ import (
 // a frozen CSR snapshot and allocate nothing in steady state.
 type MonteCarlo struct {
 	z  int
-	r  *rand.Rand
+	r  rng.SplitMix64
 	sc scratch
 	canceller
 }
@@ -22,7 +20,7 @@ type MonteCarlo struct {
 // NewMonteCarlo returns an MC sampler drawing z possible worlds per query,
 // seeded deterministically.
 func NewMonteCarlo(z int, seed int64) *MonteCarlo {
-	return &MonteCarlo{z: z, r: rng.New(seed)}
+	return &MonteCarlo{z: z, r: rng.NewSplitMix64(seed)}
 }
 
 // Name implements Sampler.
@@ -34,7 +32,7 @@ func (mc *MonteCarlo) SampleSize() int { return mc.z }
 // SetSampleSize implements Sampler.
 func (mc *MonteCarlo) SetSampleSize(z int) { mc.z = z }
 
-// Reseed implements Sampler.
+// Reseed implements Sampler: an O(1) reset of the stream.
 func (mc *MonteCarlo) Reseed(seed int64) { mc.r.Seed(seed) }
 
 // Reliability implements Sampler.
@@ -58,7 +56,7 @@ func (mc *MonteCarlo) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 
 			}
 			return float64(hits) / float64(i)
 		}
-		if sampledWalkPlain(&mc.sc, mc.r, c, s, t, true) {
+		if sampledWalkPlain(&mc.sc, &mc.r, c, s, t, true) {
 			hits++
 		}
 	}
@@ -95,7 +93,7 @@ func (mc *MonteCarlo) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool) []f
 			drawn = i
 			break
 		}
-		sampledWalk(&mc.sc, mc.r, c, src, -1, forward, counts, nil)
+		sampledWalk(&mc.sc, &mc.r, c, src, -1, forward, counts, nil)
 	}
 	if drawn == 0 {
 		return counts

@@ -27,10 +27,11 @@ const laneBlock = 64
 // Estimates are statistically equivalent to MonteCarlo at the same budget —
 // both draw z independent possible worlds — but NOT bit-identical: the
 // vector path consumes randomness per (edge, block) instead of per
-// (edge, world). Its own determinism contract is pinned instead: a fixed
-// seed yields bit-identical estimates run to run, and the ParallelSampler
+// (edge, world), even though both draw from the same rng.SplitMix64
+// generator. Its own determinism contract is pinned instead: a fixed seed
+// yields bit-identical estimates run to run, and the ParallelSampler
 // wrapping keeps them bit-identical at any worker count. The scalar
-// MonteCarlo stays the bit-exactness oracle for the legacy stream.
+// MonteCarlo is the one checked bit for bit against the reference engine.
 //
 // Like the scalar samplers, MCVec reuses epoch-stamped scratch (per-node
 // lane words, per-edge sampled masks, BFS queue) and allocates nothing in
@@ -38,7 +39,7 @@ const laneBlock = 64
 // for concurrent use.
 type MCVec struct {
 	z  int
-	r  rng.Mask64
+	r  rng.SplitMix64
 	sc vecScratch
 	canceller
 }
@@ -46,7 +47,7 @@ type MCVec struct {
 // NewMCVec returns a word-parallel MC sampler drawing z possible worlds per
 // query (in ceil(z/64) lane blocks), seeded deterministically.
 func NewMCVec(z int, seed int64) *MCVec {
-	return &MCVec{z: z, r: rng.NewMask64(seed)}
+	return &MCVec{z: z, r: rng.NewSplitMix64(seed)}
 }
 
 // Name implements Sampler.

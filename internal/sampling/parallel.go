@@ -291,18 +291,18 @@ func (ps *ParallelSampler) shardBudgets(z int) []int {
 // fan-out: the per-item shard count scales down as the batch grows, so a
 // one-item batch is sharded like a scalar call (the whole pool works on
 // it) while a batch that alone saturates the shard target gets one shard
-// per item and pays no per-shard overhead (each shard costs a full RNG
-// reseed — the 607-word rand source re-init — plus a scratch reset). The
-// count depends only on (z, items) and the estimator's fixed quantum,
-// never on the worker count, so results stay bit-identical across pool
-// sizes.
+// per item and pays no per-shard overhead (each shard costs an estimator
+// reset: scratch epochs and, for RSS and lazy, per-edge state sized to the
+// graph; the RNG reseed itself is O(1)). The count depends only on
+// (z, items) and the estimator's fixed quantum, never on the worker count,
+// so results stay bit-identical across pool sizes.
 //
 // Budgets are distributed in units of the estimator's quantum (64 for
 // mcvec's lane blocks): every shard receives whole blocks and only the
 // last shard is shrunk by the z % quantum tail, so interior shards never
 // pay a partial lane mask. For quantum 1 (the scalar kinds) this reduces
-// exactly to the historical even split, keeping their shard streams — and
-// therefore their estimates — bit-identical to earlier releases.
+// exactly to the historical even split, so the scalar kinds keep their
+// shard budgets and shard seeds.
 func (ps *ParallelSampler) shardBudgetsFor(z, items int) []int {
 	if z < 1 {
 		z = 1
@@ -458,6 +458,9 @@ func mergeScalar(est []float64, budgets []int) float64 {
 	return total / float64(z)
 }
 
+// mergeVectors folds per-shard vectors as Σ(b_i·v_i)·(1/z) in shard order.
+// The reciprocal is rounded, so each entry is clamped to at most 1 like
+// the RSS results.
 func mergeVectors(vecs [][]float64, budgets []int, n int) []float64 {
 	acc := make([]float64, n)
 	z := 0
@@ -472,7 +475,7 @@ func mergeVectors(vecs [][]float64, budgets []int, n int) []float64 {
 	}
 	inv := 1 / float64(z)
 	for v := range acc {
-		acc[v] *= inv
+		acc[v] = clampUnit(acc[v] * inv)
 	}
 	return acc
 }

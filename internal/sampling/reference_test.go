@@ -1,16 +1,20 @@
 package sampling
 
-// This file preserves the pre-CSR, slice-of-slices sampling engine
-// verbatim as a test-only reference implementation. The differential tests
-// assert that the CSR-based estimators are BIT-IDENTICAL to this code at
-// the same seed — traversal order, RNG consumption and float arithmetic
-// all included — which is what makes the CSR refactor safe to build on:
-// any future change to the hot path that silently alters an estimate
-// fails these tests immediately.
+// This file preserves the pre-CSR, slice-of-slices sampling engine as a
+// test-only reference implementation. The differential tests assert that
+// the CSR-based estimators are BIT-IDENTICAL to this code at the same
+// seed — traversal order, RNG consumption and float arithmetic all
+// included — which is what makes the CSR refactor safe to build on: any
+// future change to the hot path that silently alters an estimate fails
+// these tests immediately.
+//
+// The engine is kept verbatim except for two deliberate ports that track
+// the live samplers' contract: it draws one Float64 per coin flip from
+// the same rng.SplitMix64 stream, and the RSS results are capped at 1 at
+// the estimator boundary.
 
 import (
 	"math"
-	"math/rand"
 
 	"repro/internal/rng"
 	"repro/internal/ugraph"
@@ -62,7 +66,7 @@ func (sc *refScratch) nextEpoch() {
 	}
 }
 
-func refSampledWalk(sc *refScratch, r *rand.Rand, g *ugraph.Graph, src, t ugraph.NodeID, forward bool, counts []float64, status []int8) bool {
+func refSampledWalk(sc *refScratch, r *rng.SplitMix64, g *ugraph.Graph, src, t ugraph.NodeID, forward bool, counts []float64, status []int8) bool {
 	sc.nextEpoch()
 	sc.queue = sc.queue[:0]
 	sc.queue = append(sc.queue, src)
@@ -141,12 +145,12 @@ func refDeterministicReach(sc *refScratch, g *ugraph.Graph, src ugraph.NodeID, f
 // refMonteCarlo is the legacy MonteCarlo sampler.
 type refMonteCarlo struct {
 	z  int
-	r  *rand.Rand
+	r  rng.SplitMix64
 	sc refScratch
 }
 
 func newRefMonteCarlo(z int, seed int64) *refMonteCarlo {
-	return &refMonteCarlo{z: z, r: rng.New(seed)}
+	return &refMonteCarlo{z: z, r: rng.NewSplitMix64(seed)}
 }
 
 func (mc *refMonteCarlo) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
@@ -156,7 +160,7 @@ func (mc *refMonteCarlo) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float6
 	mc.sc.reset(g.N(), g.M())
 	hits := 0
 	for i := 0; i < mc.z; i++ {
-		if refSampledWalk(&mc.sc, mc.r, g, s, t, true, nil, nil) {
+		if refSampledWalk(&mc.sc, &mc.r, g, s, t, true, nil, nil) {
 			hits++
 		}
 	}
@@ -175,7 +179,7 @@ func (mc *refMonteCarlo) vector(g *ugraph.Graph, src ugraph.NodeID, forward bool
 	mc.sc.reset(g.N(), g.M())
 	counts := make([]float64, g.N())
 	for i := 0; i < mc.z; i++ {
-		refSampledWalk(&mc.sc, mc.r, g, src, -1, forward, counts, nil)
+		refSampledWalk(&mc.sc, &mc.r, g, src, -1, forward, counts, nil)
 	}
 	inv := 1 / float64(mc.z)
 	for i := range counts {
@@ -189,13 +193,13 @@ type refRSS struct {
 	z         int
 	width     int
 	threshold int
-	r         *rand.Rand
+	r         rng.SplitMix64
 	sc        refScratch
 	status    []int8
 }
 
 func newRefRSS(z int, seed int64) *refRSS {
-	return &refRSS{z: z, width: DefaultRSSWidth, threshold: DefaultRSSThreshold, r: rng.New(seed)}
+	return &refRSS{z: z, width: DefaultRSSWidth, threshold: DefaultRSSThreshold, r: rng.NewSplitMix64(seed)}
 }
 
 func (rs *refRSS) prepare(g *ugraph.Graph) {
@@ -214,21 +218,21 @@ func (rs *refRSS) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
 		return 1
 	}
 	rs.prepare(g)
-	return rs.recurse(g, s, t, rs.z)
+	return clampUnit(rs.recurse(g, s, t, rs.z))
 }
 
 func (rs *refRSS) ReliabilityFrom(g *ugraph.Graph, s ugraph.NodeID) []float64 {
 	acc := make([]float64, g.N())
 	rs.prepare(g)
 	rs.recurseVec(g, s, true, rs.z, 1.0, acc)
-	return acc
+	return clampUnits(acc)
 }
 
 func (rs *refRSS) ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64 {
 	acc := make([]float64, g.N())
 	rs.prepare(g)
 	rs.recurseVec(g, t, false, rs.z, 1.0, acc)
-	return acc
+	return clampUnits(acc)
 }
 
 func (rs *refRSS) boundary(g *ugraph.Graph, reach []ugraph.NodeID, forward bool) []int32 {
@@ -276,7 +280,7 @@ func (rs *refRSS) recurse(g *ugraph.Graph, s, t ugraph.NodeID, budget int) float
 		}
 		hits := 0
 		for i := 0; i < z; i++ {
-			if refSampledWalk(&rs.sc, rs.r, g, s, t, true, nil, rs.status) {
+			if refSampledWalk(&rs.sc, &rs.r, g, s, t, true, nil, rs.status) {
 				hits++
 			}
 		}
@@ -323,7 +327,7 @@ func (rs *refRSS) recurseVec(g *ugraph.Graph, src ugraph.NodeID, forward bool, b
 		}
 		w := weight / float64(z)
 		for i := 0; i < z; i++ {
-			refSampledWalk(&rs.sc, rs.r, g, src, -1, forward, nil, rs.status)
+			refSampledWalk(&rs.sc, &rs.r, g, src, -1, forward, nil, rs.status)
 			for _, v := range rs.sc.queue {
 				acc[v] += w
 			}
@@ -355,14 +359,14 @@ func (rs *refRSS) recurseVec(g *ugraph.Graph, src ugraph.NodeID, forward bool, b
 // refLazy is the legacy lazy-propagation sampler.
 type refLazy struct {
 	z      int
-	r      *rand.Rand
+	r      rng.SplitMix64
 	sc     refScratch
 	nextOn []int64
 	sample int64
 }
 
 func newRefLazy(z int, seed int64) *refLazy {
-	return &refLazy{z: z, r: rng.New(seed)}
+	return &refLazy{z: z, r: rng.NewSplitMix64(seed)}
 }
 
 func (lz *refLazy) geometricSkip(p float64) int64 {

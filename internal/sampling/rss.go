@@ -1,8 +1,6 @@
 package sampling
 
 import (
-	"math/rand"
-
 	"repro/internal/rng"
 	"repro/internal/ugraph"
 )
@@ -34,7 +32,7 @@ type RSS struct {
 	z         int
 	width     int
 	threshold int
-	r         *rand.Rand
+	r         rng.SplitMix64
 	sc        scratch
 	status    []int8
 	arena     []int32 // stack of boundary edge IDs across recursion levels
@@ -44,7 +42,7 @@ type RSS struct {
 // NewRSS returns an RSS sampler with total budget z and default width and
 // threshold, seeded deterministically.
 func NewRSS(z int, seed int64) *RSS {
-	return &RSS{z: z, width: DefaultRSSWidth, threshold: DefaultRSSThreshold, r: rng.New(seed)}
+	return &RSS{z: z, width: DefaultRSSWidth, threshold: DefaultRSSThreshold, r: rng.NewSplitMix64(seed)}
 }
 
 // Name implements Sampler.
@@ -56,7 +54,7 @@ func (rs *RSS) SampleSize() int { return rs.z }
 // SetSampleSize implements Sampler.
 func (rs *RSS) SetSampleSize(z int) { rs.z = z }
 
-// Reseed implements Sampler.
+// Reseed implements Sampler: an O(1) reset of the stream.
 func (rs *RSS) Reseed(seed int64) { rs.r.Seed(seed) }
 
 // SetWidth overrides the stratification width r (clamped to >= 1).
@@ -98,7 +96,7 @@ func (rs *RSS) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 {
 		return 1
 	}
 	rs.prepare(c)
-	return rs.recurse(c, s, t, rs.z)
+	return clampUnit(rs.recurse(c, s, t, rs.z))
 }
 
 // ReliabilityFrom implements Sampler.
@@ -116,7 +114,7 @@ func (rs *RSS) ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64 {
 	acc := make([]float64, c.N())
 	rs.prepare(c)
 	rs.recurseVec(c, s, true, rs.z, 1.0, acc)
-	return acc
+	return clampUnits(acc)
 }
 
 // ReliabilityToCSR implements CSRSampler.
@@ -124,7 +122,26 @@ func (rs *RSS) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
 	acc := make([]float64, c.N())
 	rs.prepare(c)
 	rs.recurseVec(c, t, false, rs.z, 1.0, acc)
-	return acc
+	return clampUnits(acc)
+}
+
+// clampUnit caps an estimate at 1. The stratified sum Σ π_i·R_i is a
+// probability in exact arithmetic, but the π_i are rounded products, so on
+// near-certain queries the sum can land an ulp or two above 1 (e.g.
+// 1.0000000000000004). Every term is non-negative, so only the upper bound
+// can be crossed. Results are clamped at the estimator boundary; the
+// recursion itself keeps its arithmetic.
+func clampUnit(x float64) float64 {
+	return min(x, 1)
+}
+
+// clampUnits clamps every entry of a reliability vector in place and
+// returns it.
+func clampUnits(v []float64) []float64 {
+	for i, x := range v {
+		v[i] = clampUnit(x)
+	}
+	return v
 }
 
 // pushBoundary appends up to width undetermined edges leaving the current
@@ -210,7 +227,7 @@ func (rs *RSS) recurse(c *ugraph.CSR, s, t ugraph.NodeID, budget int) float64 {
 				rs.arena = rs.arena[:lo]
 				return float64(hits) / float64(i)
 			}
-			if sampledWalkCond(&rs.sc, rs.r, c, s, t, true, rs.status) {
+			if sampledWalkCond(&rs.sc, &rs.r, c, s, t, true, rs.status) {
 				hits++
 			}
 		}
@@ -269,7 +286,7 @@ func (rs *RSS) recurseVec(c *ugraph.CSR, src ugraph.NodeID, forward bool, budget
 			if i&(ctxCheckBlock-1) == 0 && i > 0 && rs.cancelled() {
 				break
 			}
-			sampledWalkCond(&rs.sc, rs.r, c, src, -1, forward, rs.status)
+			sampledWalkCond(&rs.sc, &rs.r, c, src, -1, forward, rs.status)
 			for _, v := range rs.sc.queue {
 				acc[v] += w
 			}

@@ -8,12 +8,14 @@
 //
 // # Vector Monte Carlo determinism
 //
-// MCVec is statistically equivalent to MonteCarlo — both are unbiased
-// estimators of the same reliability — but NOT stream-compatible with it:
-// the vector sampler draws 64 Bernoulli trials per RNG interaction
-// (rng.BernoulliMask over a SplitMix64 word stream) where the scalar
-// sampler draws one Float64, so the two consume different randomness and
-// their estimates differ within Monte Carlo error at equal Z. MCVec's own
+// Every sampler draws from the same generator, rng.SplitMix64, held by
+// value so a Reseed is O(1) and every draw inlines into the walk. MCVec is
+// statistically equivalent to MonteCarlo — both are unbiased estimators of
+// the same reliability — but NOT stream-compatible with it: the vector
+// sampler draws 64 Bernoulli trials per RNG interaction (rng.BernoulliMask
+// over the word stream) where the scalar sampler draws one Float64 per
+// coin flip, so the two consume different randomness and their estimates
+// differ within Monte Carlo error at equal Z. MCVec's own
 // determinism contract matches every other sampler's: a fixed seed yields
 // bit-identical estimates across runs, across Graph/CSR/overlay entry
 // points, and — through ParallelSampler's 64-aligned shard budgets — at
@@ -49,8 +51,8 @@ package sampling
 
 import (
 	"context"
-	"math/rand"
 
+	"repro/internal/rng"
 	"repro/internal/ugraph"
 )
 
@@ -209,7 +211,7 @@ func (sc *scratch) nextEpoch() {
 // entries +1 force the edge present, -1 absent, 0 leaves it random — this
 // is what the RSS strata use. Overlay arcs are visited after the base row
 // of each node, matching mutable-Graph arc order.
-func sampledWalk(sc *scratch, r *rand.Rand, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, counts []float64, status []int8) bool {
+func sampledWalk(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, counts []float64, status []int8) bool {
 	sc.nextEpoch()
 	// Hoist the scratch fields into locals: the loop below is the hottest
 	// code in the library and the compiler cannot cache pointer-reached
@@ -287,7 +289,7 @@ func sampledWalk(sc *scratch, r *rand.Rand, c *ugraph.CSR, src, t ugraph.NodeID,
 // library. Dropping the two always-false per-edge branches of the generic
 // walk is worth several percent on the MC hot path. It consumes randomness
 // identically to sampledWalk(sc, r, c, src, t, forward, nil, nil).
-func sampledWalkPlain(sc *scratch, r *rand.Rand, c *ugraph.CSR, src, t ugraph.NodeID, forward bool) bool {
+func sampledWalkPlain(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugraph.NodeID, forward bool) bool {
 	sc.nextEpoch()
 	epoch := sc.epoch
 	nodeEp, edgeSt := sc.nodeEp, sc.edgeSt
@@ -405,7 +407,7 @@ func deterministicReach(sc *scratch, c *ugraph.CSR, src, target ugraph.NodeID, f
 // fallback: status is mandatory (no nil check per edge) and no counts are
 // collected. It consumes randomness identically to
 // sampledWalk(sc, r, c, src, t, forward, nil, status).
-func sampledWalkCond(sc *scratch, r *rand.Rand, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, status []int8) bool {
+func sampledWalkCond(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, status []int8) bool {
 	sc.nextEpoch()
 	epoch := sc.epoch
 	nodeEp, edgeSt := sc.nodeEp, sc.edgeSt

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -202,16 +203,122 @@ func TestRSSUnbiasedOnUndirected(t *testing.T) {
 	}
 }
 
+// completeGraph returns the complete graph on n nodes with every edge at
+// probability p (both arc directions when directed).
+func completeGraph(n int, p float64, directed bool) *ugraph.Graph {
+	g := ugraph.New(n, directed)
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if u == v || (!directed && v < u) {
+				continue
+			}
+			g.MustAddEdge(ugraph.NodeID(u), ugraph.NodeID(v), p)
+		}
+	}
+	return g
+}
+
+// TestEstimatesWithinUnitInterval sweeps every kind, serial and parallel,
+// scalar and vector, over random small graphs and dense near-certain
+// complete graphs. The latter are the regression case for stratified sums
+// rounding past 1: the RSS strata Σ π_i·R_i used to report reliabilities
+// such as 1.0000000000000004 there.
 func TestEstimatesWithinUnitInterval(t *testing.T) {
+	type query struct {
+		name  string
+		g     *ugraph.Graph
+		s, t  ugraph.NodeID
+		seeds int64
+	}
+	var queries []query
 	r := rng.New(111)
-	mc := NewMonteCarlo(500, 10)
-	rs := NewRSS(500, 10)
 	for trial := 0; trial < 20; trial++ {
 		g := randomSmallGraph(r, trial%2 == 0)
 		s, tt := ugraph.NodeID(r.Intn(g.N())), ugraph.NodeID(r.Intn(g.N()))
-		for _, est := range []float64{mc.Reliability(g, s, tt), rs.Reliability(g, s, tt)} {
-			if est < 0 || est > 1 {
-				t.Fatalf("estimate %v outside [0,1]", est)
+		queries = append(queries, query{fmt.Sprintf("random trial %d", trial), g, s, tt, 1})
+	}
+	for _, directed := range []bool{false, true} {
+		for _, n := range []int{4, 6, 8, 10} {
+			for _, p := range []float64{0.9, 0.95, 0.99} {
+				name := fmt.Sprintf("K%d p=%v directed=%v", n, p, directed)
+				queries = append(queries, query{name, completeGraph(n, p, directed), 0, ugraph.NodeID(n - 1), 5})
+			}
+		}
+	}
+	check := func(where string, r float64) {
+		t.Helper()
+		if !(r >= 0 && r <= 1) {
+			t.Fatalf("%s: estimate %v outside [0, 1]", where, r)
+		}
+	}
+	for _, q := range queries {
+		for _, kind := range []string{"mc", "rss", "lazy", "mcvec"} {
+			for _, z := range []int{100, 500} {
+				for seed := int64(1); seed <= q.seeds; seed++ {
+					serial, err := NewSerial(kind, z, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					par, err := NewParallel(kind, z, seed, 2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for mode, smp := range map[string]Sampler{"serial": serial, "parallel": par} {
+						where := func(what string) string {
+							return fmt.Sprintf("%s: %s/%s/%s z=%d seed=%d", q.name, kind, mode, what, z, seed)
+						}
+						check(where("scalar"), smp.Reliability(q.g, q.s, q.t))
+						for v, r := range smp.ReliabilityFrom(q.g, q.s) {
+							check(where(fmt.Sprintf("from[%d]", v)), r)
+						}
+						for v, r := range smp.ReliabilityTo(q.g, q.t) {
+							check(where(fmt.Sprintf("to[%d]", v)), r)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReseedMatchesFresh pins the Reseed contract of the serial samplers:
+// after arbitrary prior use (other graphs, other queries, vector and
+// multi-source calls, a budget change), Reseed(s) followed by an estimate
+// is bit-identical to the same estimate on a fresh New*(z, s) sampler.
+func TestReseedMatchesFresh(t *testing.T) {
+	r := rng.New(131)
+	big := allocGraph(false)
+	const z = 300
+	for _, kind := range []string{"mc", "rss", "lazy", "mcvec"} {
+		used, err := NewSerial(kind, 17, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 6; trial++ {
+			g := randomSmallGraph(r, trial%2 == 0)
+			s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
+			// Arbitrary prior use of the reused sampler.
+			used.SetSampleSize(17 + 40*trial)
+			used.Reliability(big, 0, ugraph.NodeID(big.N()-1))
+			used.ReliabilityTo(g, tt)
+			if mc, ok := used.(*MonteCarlo); ok {
+				mc.MultiSourceReach(big, []ugraph.NodeID{1, 2})
+			}
+			used.SetSampleSize(z)
+
+			seed := int64(trial*7 - 5)
+			fresh, _ := NewSerial(kind, z, seed)
+			used.Reseed(seed)
+			if a, b := used.Reliability(g, s, tt), fresh.Reliability(g, s, tt); a != b {
+				t.Fatalf("%s trial %d: Reseed(%d) estimate %v, fresh sampler %v", kind, trial, seed, a, b)
+			}
+			fresh, _ = NewSerial(kind, z, seed)
+			used.Reseed(seed)
+			a, b := used.ReliabilityFrom(g, s), fresh.ReliabilityFrom(g, s)
+			for v := range a {
+				if a[v] != b[v] {
+					t.Fatalf("%s trial %d: Reseed(%d) From[%d] %v, fresh sampler %v", kind, trial, seed, v, a[v], b[v])
+				}
 			}
 		}
 	}
