@@ -271,7 +271,7 @@ func BenchmarkEstimateMany(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				smp.EstimateMany(g, pairs)
+				smp.EstimateMany(g.Freeze(), pairs)
 			}
 		})
 	}
@@ -319,7 +319,7 @@ func BenchmarkEstimateEdges(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				smp.EstimateEdges(g, s, t, cands)
+				smp.EstimateEdges(g.Freeze(), s, t, cands)
 			}
 		})
 	}
@@ -376,11 +376,12 @@ func BenchmarkAnytimeEstimate(b *testing.B) {
 }
 
 // BenchmarkApply measures the mutation-commit path: batches of 1/16/256
-// mutations committed as persistent delta overlays (the default engine,
-// including its amortized background compaction) versus the legacy full
-// clone+rebuild commit (WithFlatCommits). The bench gate asserts delta
-// stays >=5x faster than clone on the small-batch shapes (b1, b16) and
-// publishes every pairing in BENCH_apply.json. The b256 pairing is
+// mutations committed as persistent delta overlays (Engine.Apply,
+// including its amortized background compaction) versus a full
+// clone+rebuild commit of the same batch (clone the builder graph, replay
+// the batch through applyMutationsTo, freeze a flat CSR). The bench gate
+// asserts delta stays >=5x faster than clone on the small-batch shapes (b1,
+// b16) and publishes every pairing in BENCH_apply.json. The b256 pairing is
 // honest-cost reporting: a batch that touches a large fraction of the
 // graph re-materializes enough rows that the overlay's advantage shrinks.
 func BenchmarkApply(b *testing.B) {
@@ -395,15 +396,12 @@ func BenchmarkApply(b *testing.B) {
 		}
 		for _, mode := range []string{"delta", "clone"} {
 			b.Run(fmt.Sprintf("%s/b%d", mode, size), func(b *testing.B) {
-				var opts []EngineOption
-				if mode == "clone" {
-					opts = append(opts, WithFlatCommits(true))
-				}
-				eng, err := NewEngine(g, opts...)
+				eng, err := NewEngine(g)
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer eng.Close()
+				cur := g.Clone()
 				muts := make([]Mutation, size)
 				ctx := context.Background()
 				b.ReportAllocs()
@@ -414,11 +412,61 @@ func BenchmarkApply(b *testing.B) {
 					for j := range muts {
 						muts[j] = SetProb(edges[j].U, edges[j].V, p)
 					}
-					if _, err := eng.Apply(ctx, muts...); err != nil {
+					if mode == "delta" {
+						if _, err := eng.Apply(ctx, muts...); err != nil {
+							b.Fatal(err)
+						}
+						continue
+					}
+					next := cur.Clone()
+					if _, err := applyMutationsTo(ctx, next, muts); err != nil {
 						b.Fatal(err)
 					}
+					next.Freeze()
+					cur = next
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkSolveAfterApply measures the first solve on a freshly committed
+// epoch: each iteration commits one set-prob batch over a flat snapshot
+// (the compaction that makes it flat runs off the clock), so the solve
+// runs on a depth-1 delta epoch, then answers one uncached BE query there.
+// Solvers read the layered snapshot directly; rebuilding the epoch as a
+// graph before solving would add an O(N+M) step to every iteration.
+func BenchmarkSolveAfterApply(b *testing.B) {
+	g, err := LoadDataset("astopo", 0.2, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := Queries(g, 1, 3, 5, 9)
+	if len(qs) == 0 {
+		b.Fatal("no query")
+	}
+	eng, err := NewEngine(g, WithSeed(13))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	e := g.Edges()[0]
+	req := Request{S: qs[0].S, T: qs[0].T, Method: MethodBE,
+		Options: &Options{K: 2, Zeta: 0.5, R: 10, L: 5, Z: 60, Seed: 13}}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := eng.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := eng.Apply(ctx, SetProb(e.U, e.V, 0.3+0.4*float64(i%2))); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Solve(ctx, req); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

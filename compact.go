@@ -5,22 +5,22 @@ import (
 	"fmt"
 )
 
-// Compaction. A delta-committing engine (the default — see Apply) stacks
-// small overlay epochs over the last flat CSR. Each layer is cheap to
-// commit but adds a constant to every touched-row read, and the chain's
-// accumulated edits are copied into each further commit, so the chain must
-// stay short. The compactor folds it: materialize the logical epoch as a
-// flat graph (clone base + replay the pending mutations — the O(N+M)
-// rebuild Apply no longer pays per batch) and republish it as a flat
-// snapshot at the SAME epoch. Readers never notice: the flat CSR answers
-// every query bit-identically to the layered one (pinned by the
-// differential suites), the epoch does not change, so cache entries and
-// query fingerprints stay valid across the fold.
+// Compaction. Apply stacks small delta epochs over the last flat CSR. Each
+// layer is cheap to commit but adds a constant to every touched-row read,
+// and the chain's accumulated edits are copied into each further commit,
+// so the chain must stay short. The compactor folds it: rebuild the
+// logical epoch from the snapshot's own edge list (CSR.Edges, in edge-ID
+// order) through the builder recovery uses — the O(N+M) rebuild Apply no
+// longer pays per batch — and republish it as a flat snapshot at the SAME
+// epoch. Readers never notice: the flat CSR answers every query
+// bit-identically to the layered one (pinned by the differential suites),
+// the epoch does not change, so cache entries and query fingerprints stay
+// valid across the fold.
 //
 // Compaction triggers on whichever comes first: chain depth reaching the
 // configured bound, the delta-arc fraction of the base crossing its bound
 // (both via WithCompactionPolicy), a checkpoint (which serializes the
-// materialized epoch anyway, so the fold is free), or an explicit
+// epoch's full edge list anyway, so the fold is nearly free), or an explicit
 // Engine.Compact call. Threshold-tripped compaction runs on a background
 // goroutine, single-flighted, holding applyMu only while it folds — Apply
 // latency stays O(batch) except when a commit lands while the fold holds
@@ -36,19 +36,9 @@ const (
 // WithCompactionPolicy sets the delta-chain compaction thresholds: the
 // chain folds into a flat CSR when it reaches maxDepth layers or when the
 // overlay holds maxFraction times the base arc count, whichever trips
-// first. Values <= 0 select the defaults (16 layers, 0.25). Inert under
-// WithFlatCommits.
+// first. Values <= 0 select the defaults (16 layers, 0.25).
 func WithCompactionPolicy(maxDepth int, maxFraction float64) EngineOption {
 	return func(e *Engine) { e.compactDepth, e.compactFrac = maxDepth, maxFraction }
-}
-
-// WithFlatCommits makes every Apply commit the legacy way — clone the full
-// graph, mutate, freeze a complete flat CSR — instead of layering delta
-// epochs. Commits cost O(N+M) regardless of batch size, which is only
-// useful as a differential oracle and benchmark baseline for the delta
-// path; serving deployments should keep the default.
-func WithFlatCommits(on bool) EngineOption {
-	return func(e *Engine) { e.flatApply = on }
 }
 
 // WithCacheWarming re-warms the result cache after every epoch rotation:
@@ -65,43 +55,48 @@ func WithCacheWarming(n int) EngineOption {
 }
 
 // Compact forces the engine's delta chain to fold into a flat CSR at the
-// current epoch. On an already-flat snapshot (or a WithFlatCommits engine)
-// it is a no-op returning nil. It serializes with Apply; queries pinned to
-// the layered snapshot finish on it unperturbed.
+// current epoch. On an already-flat snapshot it is a no-op returning nil.
+// It serializes with Apply; queries pinned to the layered snapshot finish
+// on it unperturbed.
 func (e *Engine) Compact() error {
 	e.applyMu.Lock()
 	defer e.applyMu.Unlock()
 	if e.closed.Load() {
 		return fmt.Errorf("repro: Compact: %w", ErrClosed)
 	}
-	e.compactLocked()
+	if _, err := e.compactLocked(); err != nil {
+		return fmt.Errorf("repro: Compact: %w", err)
+	}
 	return nil
 }
 
 // compactLocked folds the current snapshot's delta chain into a fresh flat
-// snapshot at the same epoch and publishes it; no-op when already flat.
-// The epoch is unchanged, so the cache epoch is NOT rotated — entries and
-// in-flight fingerprints remain valid. Callers hold applyMu.
-func (e *Engine) compactLocked() *engineSnapshot {
+// snapshot at the same epoch, publishes it and returns it; no-op when
+// already flat. The epoch is unchanged, so the cache epoch is NOT rotated —
+// entries and in-flight fingerprints remain valid. The rebuild cannot fail
+// for a snapshot Apply built (every layer was validated edit by edit); an
+// error leaves the layered snapshot in place. Callers hold applyMu.
+func (e *Engine) compactLocked() (*CSR, error) {
 	cur := e.snap.Load()
-	if len(cur.pending) == 0 {
-		return cur
+	if cur.Depth() == 0 {
+		return cur, nil
 	}
-	flat := newFlatSnapshot(cur.graph())
+	g, err := graphFromSnapshot(storeSnapshotOf(cur))
+	if err != nil {
+		return cur, fmt.Errorf("rebuild epoch %d: %w", cur.Epoch(), err)
+	}
+	flat := g.Freeze()
 	e.snap.Store(flat)
 	e.compactions.Add(1)
-	return flat
+	return flat, nil
 }
 
 // maybeCompact kicks the background compactor if next's chain crossed a
 // threshold. Single-flighted: a second trip while a fold is in progress is
 // dropped (the running fold will catch it — it re-loads the snapshot under
 // the lock).
-func (e *Engine) maybeCompact(next *engineSnapshot) {
-	if len(next.pending) == 0 {
-		return
-	}
-	if next.csr.Depth() < e.compactDepth && next.csr.DeltaFraction() < e.compactFrac {
+func (e *Engine) maybeCompact(next *CSR) {
+	if next.Depth() < e.compactDepth && next.DeltaFraction() < e.compactFrac {
 		return
 	}
 	if !e.compacting.CompareAndSwap(false, true) {
@@ -109,7 +104,7 @@ func (e *Engine) maybeCompact(next *engineSnapshot) {
 	}
 	go func() {
 		defer e.compacting.Store(false)
-		_ = e.Compact() // only fails when closed, which needs no handling
+		_ = e.Compact() // a failed fold keeps the valid layered snapshot
 	}()
 }
 

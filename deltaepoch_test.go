@@ -51,10 +51,28 @@ func deltaTestBatches(t testing.TB, g *Graph) [][]Mutation {
 	}
 }
 
+// rebuildOracle is the flat-rebuild oracle for delta epochs: it commits muts
+// to a clone of the builder graph cur (through the replay path recovery
+// uses) and serves the resulting epoch from a fresh engine over its flat
+// snapshot. It returns the new graph, to chain the next batch onto, and
+// the engine.
+func rebuildOracle(t *testing.T, cur *Graph, muts []Mutation, opts ...EngineOption) (*Graph, *Engine) {
+	t.Helper()
+	next := cur.Clone()
+	if i, err := applyMutationsTo(nil, next, muts); err != nil {
+		t.Fatalf("oracle replay of mutation %d: %v", i, err)
+	}
+	eng, err := NewEngine(next, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next, eng
+}
+
 // requireSameAnswers runs one query battery on both engines and requires
 // bit-identical results: estimate and estimate-many across every sampler
-// kind × workers {0,1,4}, and solve/multi/total-budget (rss) at workers
-// {0,4}.
+// kind × workers {0,1,4}, and (rss, workers {0,4}) every single-pair
+// method, multi BE and HC under every aggregate, and total-budget.
 func requireSameAnswers(t *testing.T, stage string, eng, oracle *Engine) {
 	t.Helper()
 	ctx := context.Background()
@@ -82,8 +100,20 @@ func requireSameAnswers(t *testing.T, stage string, eng, oracle *Engine) {
 	}
 	for _, w := range []int{0, 4} {
 		opt := &Options{K: 2, Z: 150, Seed: 7, R: 8, L: 8, Workers: w}
-		run(Query{Kind: QuerySolve, S: 0, T: 17, Method: MethodBE, Options: opt})
-		run(Query{Kind: QueryMulti, Sources: []NodeID{0, 1}, Targets: []NodeID{17, 23}, Options: opt})
+		for _, m := range Methods() {
+			mopt := opt
+			if m == MethodExact {
+				small := *opt
+				small.R = 4 // keeps the enumeration to a few hundred combinations
+				mopt = &small
+			}
+			run(Query{Kind: QuerySolve, S: 0, T: 17, Method: m, Options: mopt})
+		}
+		for _, m := range []Method{MethodBE, MethodHillClimbing} {
+			for _, agg := range []Aggregate{AggAvg, AggMin, AggMax} {
+				run(Query{Kind: QueryMulti, Sources: []NodeID{0, 1}, Targets: []NodeID{17, 23}, Method: m, Aggregate: agg, Options: opt})
+			}
+		}
 		run(Query{Kind: QueryTotalBudget, S: 0, T: 17, Budget: 1.5, Options: opt})
 	}
 	// The logical edge sets must agree exactly (canonical order), not just
@@ -107,22 +137,18 @@ func TestDeltaEpochDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := NewEngine(g, WithSampleSize(150), WithSeed(7), WithFlatCommits(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	oracleOpts := []EngineOption{WithSampleSize(150), WithSeed(7)}
+	var oracle *Engine
 	ctx := context.Background()
 	batches := deltaTestBatches(t, g)
+	cur := g
 	for i, muts := range batches {
 		de, err := eng.Apply(ctx, muts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := oracle.Apply(ctx, muts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if de != fe {
+		cur, oracle = rebuildOracle(t, cur, muts, oracleOpts...)
+		if fe := oracle.Epoch(); de != fe {
 			t.Fatalf("batch %d: delta epoch %d, flat epoch %d", i, de, fe)
 		}
 		if depth := eng.Snapshot().Depth(); depth != i+1 {
@@ -133,9 +159,6 @@ func TestDeltaEpochDifferential(t *testing.T) {
 	st := eng.Stats()
 	if st.DeltaCommits != uint64(len(batches)) || st.ChainDepth != len(batches) {
 		t.Fatalf("layered stats: %+v", st)
-	}
-	if ost := oracle.Stats(); ost.DeltaCommits != 0 || ost.ChainDepth != 0 {
-		t.Fatalf("flat oracle committed deltas: %+v", ost)
 	}
 
 	// Fold the chain. Same epoch, flat representation, identical answers —
@@ -164,9 +187,7 @@ func TestDeltaEpochDifferential(t *testing.T) {
 	if _, err := eng.Apply(ctx, extra...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := oracle.Apply(ctx, extra...); err != nil {
-		t.Fatal(err)
-	}
+	_, oracle = rebuildOracle(t, cur, extra, oracleOpts...)
 	if depth := eng.Snapshot().Depth(); depth != 1 {
 		t.Fatalf("post-compaction commit depth %d, want 1", depth)
 	}
@@ -288,16 +309,12 @@ func TestRecoverLayeredEpoch(t *testing.T) {
 }
 
 // TestApplyReplicatedDelta: replicas commit the primary's batches through
-// the same delta path and stay bit-identical to a flat-committing replica;
-// batches that fail validation map to ErrReplicaGap without partial
-// application, exactly like the flat path.
+// the same delta path and stay bit-identical to a flat rebuild of the same
+// history; batches that fail validation map to ErrReplicaGap without
+// partial application.
 func TestApplyReplicatedDelta(t *testing.T) {
 	g := durTestGraph(t)
 	delta, err := NewEngine(g, WithSeed(7), WithSampleSize(150), deltaHoldLayers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := NewEngine(g, WithSeed(7), WithSampleSize(150), WithFlatCommits(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,16 +327,16 @@ func TestApplyReplicatedDelta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fe, err := flat.ApplyReplicated(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if de != fe || de != b.Epoch {
+		if fe := oracle.Version(); de != fe || de != b.Epoch {
 			t.Fatalf("replicated epochs diverged: delta %d, flat %d, batch %d", de, fe, b.Epoch)
 		}
 	}
 	if delta.Snapshot().Depth() != 3 || delta.Stats().DeltaCommits != 3 {
 		t.Fatalf("replica did not commit deltas: depth=%d stats=%+v", delta.Snapshot().Depth(), delta.Stats())
+	}
+	flat, err := NewEngine(oracle, WithSeed(7), WithSampleSize(150))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(delta.Snapshot().Edges(), flat.Snapshot().Edges()) {
 		t.Fatal("replicated edge sets diverged")

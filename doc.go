@@ -173,8 +173,9 @@
 // rebuild, so the rebuild you avoided per commit is really amortized
 // across the chain — roughly rebuild/depth per commit — and a batch that
 // touches a large fraction of the graph approaches the rebuild cost
-// outright. WithFlatCommits restores the legacy rebuild-per-commit path
-// (it is the differential-test oracle and the BenchmarkApply baseline).
+// outright. Solves, estimates and checkpoints all read the layered
+// snapshot directly, and the differential suites pin every query kind on
+// it against a flat rebuild of the same history.
 //
 // Readers never lock against writers: every query pins the snapshot
 // current at canonicalization (jobs pin at Submit), so work in flight
@@ -190,10 +191,11 @@
 // fingerprints at normal queue priority — bounded, single-flight, shed
 // outright when the queue is full — and Stats counts the entries it
 // recomputed (CacheWarmed). A batch is all-or-nothing — the first invalid
-// mutation (ErrBadMutation) aborts it with the epoch unchanged.
-// Consecutive removals in one batch are compacted in a single O(N+M) pass
-// (Graph.RemoveEdges) on the flat path instead of paying the edge-ID
-// renumbering per edge, so bulk pruning costs the same as one removal.
+// mutation (ErrBadMutation) aborts it with the epoch unchanged. When
+// recovery replays the WAL onto the checkpointed graph, consecutive
+// removals in one batch are compacted in a single O(N+M) pass
+// (Graph.RemoveEdges) instead of paying the edge-ID renumbering per edge,
+// so bulk pruning replays at the cost of one removal.
 //
 // cmd/relmaxd exposes the whole lifecycle over HTTP: POST/GET/DELETE
 // /v2/datasets to create (from a built-in stand-in, a server-local file
@@ -218,10 +220,11 @@
 // current epoch's edge set to a snapshot file — written to a temp file,
 // fsynced, atomically renamed — and truncates the WAL, bounding recovery
 // time. A checkpoint of a delta-layered epoch folds the chain first, so
-// the file always describes the flat form and recovery is byte-identical
-// whether the epoch was committed layered or flat. Recovery loads the newest valid checkpoint and replays the WAL
-// through the same mutation machinery Apply uses, arriving at the exact
-// committed epoch; because edges replay in edge-ID order, the recovered
+// the file always describes the flat form; either form lists the same
+// edges in the same edge-ID order, so the file is byte-identical whether
+// the epoch was committed layered or flat. Recovery loads the newest valid
+// checkpoint and replays the WAL through the same mutations Apply
+// committed, arriving at the exact committed epoch; because edges replay in edge-ID order, the recovered
 // CSR is bit-identical and every query kind answers exactly as the
 // pre-crash engine did. A torn or corrupt WAL tail (a crash mid-append)
 // is detected by CRC, truncated with a logged warning and never panics;
@@ -310,18 +313,20 @@
 //
 // # Snapshots and the sampling hot path
 //
-// Internally every estimate runs on a frozen CSR snapshot of the graph
-// (Graph.Freeze): a flat, immutable adjacency layout with arc-aligned
-// probabilities that the samplers traverse with zero heap allocations per
-// sample in steady state. The snapshot is cached on the graph, stamped
-// with the graph's mutation version as its epoch (CSR.Epoch), and
-// invalidated by mutations (AddEdge, SetProb, RemoveEdge); snapshots
-// already handed out remain valid — an Engine clones the graph at
-// construction, so its snapshots are isolated from caller mutations, and
-// Engine.Apply only ever swaps in freshly built ones. Candidate-evaluation
-// loops derive lightweight overlay views (one candidate edge over a shared
-// base snapshot) instead of cloning the graph, which is what makes the
-// batched EstimateEdges path cheap.
+// Graph is only the builder. Every solver and estimator runs on a frozen
+// CSR snapshot of the graph (Graph.Freeze): a flat, immutable adjacency
+// layout with arc-aligned probabilities that the samplers traverse with
+// zero heap allocations per sample in steady state. The snapshot is cached
+// on the graph, stamped with the graph's mutation version as its epoch
+// (CSR.Epoch), and invalidated by mutations (AddEdge, SetProb,
+// RemoveEdge); snapshots already handed out remain valid and share nothing
+// mutable with the graph, so an Engine keeps only its snapshot and callers
+// may keep mutating their graph. Candidate evaluation and the greedy
+// solvers' working graphs are lightweight overlay views (CSR.WithEdges:
+// the chosen or candidate edges over a shared snapshot) instead of graph
+// clones, which is what makes the batched EstimateEdges path and every
+// greedy round cheap. The free Graph-taking functions (Solve,
+// TopLPaths, ...) freeze the graph and call the same snapshot solvers.
 //
 // Dataset stand-ins for the paper's evaluation graphs and the full
 // experiment harness (one runner per table/figure) are exposed via

@@ -77,7 +77,7 @@ func withRecoveredStore(s store.Store, pendingBatches int, pendingBytes int64) E
 // policy, and — unless the store arrived via recovery — reset it and cut
 // the initial checkpoint of g so a crash before the first Apply still
 // recovers to the created state.
-func (e *Engine) initStorage(g *Graph) error {
+func (e *Engine) initStorage(snap *CSR) error {
 	if e.store == nil && e.storageDir != "" {
 		fs, err := store.OpenFS(e.storageDir)
 		if err != nil {
@@ -100,7 +100,7 @@ func (e *Engine) initStorage(g *Graph) error {
 	if err := e.store.Reset(); err != nil {
 		return fmt.Errorf("reset storage: %w", err)
 	}
-	if err := e.store.Checkpoint(storeSnapshotOf(g)); err != nil {
+	if err := e.store.Checkpoint(storeSnapshotOf(snap)); err != nil {
 		return fmt.Errorf("initial checkpoint: %w", err)
 	}
 	e.checkpoints.Add(1)
@@ -141,8 +141,11 @@ func (e *Engine) Checkpoint() error {
 // retries; the WAL already holds every committed batch, so a failed
 // checkpoint loses nothing.
 func (e *Engine) checkpointLocked() error {
-	snap := e.compactLocked()
-	if err := e.store.Checkpoint(storeSnapshotOf(snap.base)); err != nil {
+	snap, err := e.compactLocked()
+	if err == nil {
+		err = e.store.Checkpoint(storeSnapshotOf(snap))
+	}
+	if err != nil {
 		e.checkpointErrors.Add(1)
 		return err
 	}
@@ -205,16 +208,17 @@ func mutationsFromStore(muts []store.Mut) []Mutation {
 	return out
 }
 
-// storeSnapshotOf serializes g's committed state: epoch, orientation and
-// every edge in edge-ID order. Edge-ID order is what makes recovery
-// bit-identical — re-adding edges in that order reproduces the adjacency
-// rows (and therefore the frozen CSR) byte for byte.
-func storeSnapshotOf(g *Graph) *store.Snapshot {
-	edges := g.Edges()
+// storeSnapshotOf serializes a snapshot's committed state: epoch,
+// orientation and every edge in edge-ID order (CSR.Edges, the same order
+// for a flat and a layered snapshot of one epoch). Edge-ID order is what
+// makes recovery bit-identical — re-adding edges in that order reproduces
+// the adjacency rows (and therefore the frozen CSR) byte for byte.
+func storeSnapshotOf(snap *CSR) *store.Snapshot {
+	edges := snap.Edges()
 	s := &store.Snapshot{
-		Epoch:    g.Version(),
-		Directed: g.Directed(),
-		N:        int32(g.N()),
+		Epoch:    snap.Epoch(),
+		Directed: snap.Directed(),
+		N:        int32(snap.N()),
 		Edges:    make([]store.Edge, len(edges)),
 	}
 	for i, e := range edges {
@@ -224,7 +228,8 @@ func storeSnapshotOf(g *Graph) *store.Snapshot {
 }
 
 // graphFromSnapshot rebuilds the graph a checkpoint describes, stamped
-// with the checkpointed epoch.
+// with the checkpointed epoch — the one builder recovery, replica
+// bootstrap and compaction share.
 func graphFromSnapshot(s *store.Snapshot) (*Graph, error) {
 	g := NewGraph(int(s.N), s.Directed)
 	for i, e := range s.Edges {

@@ -16,17 +16,20 @@ import (
 // legacy free functions re-freeze state and rebuild sampler pools on every
 // call, an Engine is built once per dataset and pins:
 //
-//   - a private clone of the graph (callers may keep mutating theirs) and
-//     its frozen CSR snapshot, shared read-only by all queries, and
+//   - the graph's frozen CSR snapshot — an immutable copy, so callers may
+//     keep mutating their graph — shared read-only by all queries, and
 //   - a warm pool of per-worker serial samplers (when Workers != 0),
 //     leased per request so repeated queries reuse scratch memory.
 //
 // The graph is mutable behind versioned snapshots: Apply commits a batch
-// of mutations by building the next frozen epoch and rotating it in
-// atomically. Every query pins the snapshot current at canonicalization
-// (for jobs: at Submit), so in-flight work is never perturbed by a
-// concurrent Apply — it completes on the epoch it started on, bit-identical
-// to an engine that was never mutated. See Apply and Mutation.
+// of mutations by layering the next epoch over the current snapshot
+// (ugraph.CSR.Delta) and rotating it in atomically. The CSR is the
+// engine's only graph representation: solvers, estimators, compaction and
+// checkpoints all read it. Every query pins the snapshot current at
+// canonicalization (for jobs: at Submit), so in-flight work is never
+// perturbed by a concurrent Apply — it completes on the epoch it started
+// on, bit-identical to an engine that was never mutated. See Apply and
+// Mutation.
 //
 // Every query method takes a context.Context. Cancellation and deadlines
 // are cooperative and cheap: the samplers poll ctx between sample blocks
@@ -45,13 +48,14 @@ import (
 // builds on this through a Catalog of engines).
 type Engine struct {
 	// snap is the current epoch: an immutable snapshot (flat CSR, or a
-	// delta CSR over the last flat base) swapped wholesale by Apply and
-	// the compactor. Readers load it once per query and never see a torn
-	// state; old snapshots stay valid for the queries that pinned them.
-	snap atomic.Pointer[engineSnapshot]
-	// applyMu serializes Apply (and Close's terminal transition): clones
-	// build off the snapshot they loaded, so two concurrent Applies would
-	// otherwise lose one batch.
+	// delta CSR layered over the last flat one, Depth() > 0) swapped
+	// wholesale by Apply and the compactor. Readers load it once per query
+	// and never see a torn state; old snapshots stay valid for the queries
+	// that pinned them.
+	snap atomic.Pointer[CSR]
+	// applyMu serializes Apply (and Close's terminal transition): each
+	// commit layers over the snapshot it loaded, so two concurrent Applies
+	// would otherwise lose one batch.
 	applyMu sync.Mutex
 
 	opt     Options // defaults template; Sampler/Z/Seed resolved at build
@@ -86,12 +90,11 @@ type Engine struct {
 	applies, mutationsApplied                                             atomic.Uint64
 	replicatedApplies, replicatedMutations                                atomic.Uint64
 
-	// Delta-epoch commit machinery (see mutation.go and compact.go):
-	// flatApply forces the legacy clone+freeze commit path; the compact*
-	// fields are the fold-the-chain thresholds; compacting single-flights
-	// the background compactor. warmN is the cache-warming budget per epoch
-	// rotation (0 = disabled), warming its single-flight guard.
-	flatApply    bool
+	// Delta-epoch commit machinery (see mutation.go and compact.go): the
+	// compact* fields are the fold-the-chain thresholds; compacting
+	// single-flights the background compactor. warmN is the cache-warming
+	// budget per epoch rotation (0 = disabled), warming its single-flight
+	// guard.
 	compactDepth int
 	compactFrac  float64
 	compacting   atomic.Bool
@@ -117,50 +120,6 @@ type Engine struct {
 	pendingBytes   int64
 
 	checkpoints, checkpointErrors atomic.Uint64
-}
-
-// engineSnapshot is one frozen graph epoch. csr is what queries read: a
-// flat CSR, or a delta CSR layering the batches in pending over the flat
-// base (see ugraph.CSR.Delta). base is the mutable-Graph form of the most
-// recent FLAT epoch and pending the mutations committed as delta layers
-// since — replaying pending onto a clone of base reproduces the epoch
-// exactly, which is what graph() does for the solver paths that need a
-// *Graph. Everything is immutable once the snapshot is published; mat is
-// the lazily-materialized replay, built at most once under matOnce.
-type engineSnapshot struct {
-	csr     *CSR
-	base    *Graph
-	pending []Mutation
-
-	matOnce sync.Once
-	mat     *Graph
-}
-
-// newFlatSnapshot pins a flat epoch: g IS the epoch's graph and freezes to
-// its CSR. g must not be mutated afterwards.
-func newFlatSnapshot(g *Graph) *engineSnapshot {
-	return &engineSnapshot{csr: g.Freeze(), base: g}
-}
-
-// graph returns the mutable-Graph form of the snapshot's epoch. Flat
-// snapshots return their base directly; delta snapshots materialize a full
-// rebuild (clone base, replay pending) lazily and at most once — the
-// solver paths that need a *Graph pay the O(N+M) rebuild only when they
-// actually run on a layered epoch, and compaction reuses the same
-// materialization. The replay cannot fail: pending was validated
-// edit-by-edit when its delta layers committed.
-func (s *engineSnapshot) graph() *Graph {
-	if len(s.pending) == 0 {
-		return s.base
-	}
-	s.matOnce.Do(func() {
-		g := s.base.Clone()
-		if i, err := applyMutationsTo(nil, g, s.pending); err != nil {
-			panic(fmt.Sprintf("repro: delta replay diverged at mutation %d: %v", i, err))
-		}
-		s.mat = g
-	})
-	return s.mat
 }
 
 // EngineOption configures NewEngine.
@@ -239,9 +198,10 @@ func WithQueueDepth(n int) EngineOption {
 	return func(e *Engine) { e.queueDepth, e.queueDepthSet = n, true }
 }
 
-// NewEngine builds a query engine over g: the graph is cloned and frozen
-// once, the sampler configuration validated, and (for Workers != 0) the
-// shared sampler pool created. On error the returned engine is nil.
+// NewEngine builds a query engine over g: the graph is frozen once (the
+// snapshot shares nothing mutable with g), the sampler configuration
+// validated, and (for Workers != 0) the shared sampler pool created. On
+// error the returned engine is nil.
 func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("repro: NewEngine: nil graph: %w", ErrBadQuery)
@@ -282,12 +242,12 @@ func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	if e.compactFrac <= 0 {
 		e.compactFrac = defaultCompactFraction
 	}
-	gc := g.Clone()
-	e.snap.Store(newFlatSnapshot(gc))
+	snap := g.Freeze()
+	e.snap.Store(snap)
 	if e.cache != nil {
-		e.cache.setEpoch(gc.Version())
+		e.cache.setEpoch(snap.Epoch())
 	}
-	if err := e.initStorage(gc); err != nil {
+	if err := e.initStorage(snap); err != nil {
 		if e.store != nil {
 			e.store.Close()
 		}
@@ -300,11 +260,11 @@ func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 // for unrestricted concurrent reads and never changes once returned. Apply
 // rotates the engine to a new snapshot — callers that must correlate
 // several reads use one Snapshot value, not repeated calls.
-func (e *Engine) Snapshot() *CSR { return e.snap.Load().csr }
+func (e *Engine) Snapshot() *CSR { return e.snap.Load() }
 
 // Epoch returns the engine's current graph epoch: the version stamp of the
 // snapshot queries pin. It changes exactly when Apply commits a batch.
-func (e *Engine) Epoch() uint64 { return e.snap.Load().csr.Epoch() }
+func (e *Engine) Epoch() uint64 { return e.snap.Load().Epoch() }
 
 // options resolves the effective Options for one request: nil uses the
 // engine defaults; a non-nil override is taken as-is except that zero
@@ -412,9 +372,9 @@ func (e *Engine) SolveTotalBudget(ctx context.Context, req BudgetRequest) (Total
 	return res.TotalBudget, err
 }
 
-func (s *engineSnapshot) checkNode(v NodeID) error {
-	if v < 0 || int(v) >= s.csr.N() {
-		return fmt.Errorf("repro: node %d out of range [0,%d): %w", v, s.csr.N(), ErrBadQuery)
+func checkNode(snap *CSR, v NodeID) error {
+	if v < 0 || int(v) >= snap.N() {
+		return fmt.Errorf("repro: node %d out of range [0,%d): %w", v, snap.N(), ErrBadQuery)
 	}
 	return nil
 }

@@ -172,7 +172,7 @@ func TestEngineEstimateManyDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ps.EstimateMany(g, queries)
+	want := ps.EstimateMany(g.Freeze(), queries)
 	for i := range a {
 		if a[i] != want[i] {
 			t.Fatalf("engine EstimateMany[%d] = %v, sampler = %v", i, a[i], want[i])

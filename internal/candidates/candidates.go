@@ -6,8 +6,6 @@
 package candidates
 
 import (
-	"sort"
-
 	"repro/internal/pq"
 	"repro/internal/sampling"
 	"repro/internal/ugraph"
@@ -49,13 +47,13 @@ type Result struct {
 	FromRel, ToRel []float64
 }
 
-// Eliminate runs Algorithm 4 for a single s-t query using the given
-// reliability sampler.
-func Eliminate(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Options) Result {
+// Eliminate runs Algorithm 4 for a single s-t query on snapshot c using the
+// given reliability sampler.
+func Eliminate(c *ugraph.CSR, s, t ugraph.NodeID, smp sampling.CSRSampler, opt Options) Result {
 	opt = opt.withDefaults()
-	fromRel := smp.ReliabilityFrom(g, s)
-	toRel := smp.ReliabilityTo(g, t)
-	return eliminateWith(g, fromRel, toRel, opt)
+	fromRel := smp.ReliabilityFromCSR(c, s)
+	toRel := smp.ReliabilityToCSR(c, t)
+	return eliminateWith(c, fromRel, toRel, opt)
 }
 
 // EliminateMulti runs the §6 generalization for source set S and target set
@@ -65,19 +63,19 @@ func Eliminate(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Op
 // the element-wise minima over the respective sets, so downstream ranking
 // favours nodes reliable with respect to the whole set. Batch-capable
 // samplers evaluate all member vectors concurrently.
-func EliminateMulti(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.Sampler, opt Options) Result {
+func EliminateMulti(c *ugraph.CSR, sources, targets []ugraph.NodeID, smp sampling.CSRSampler, opt Options) Result {
 	opt = opt.withDefaults()
-	fromRel := intersectTopR(g, sources, opt.R, sampling.FromMany(smp, g, sources))
-	toRel := intersectTopR(g, targets, opt.R, sampling.ToMany(smp, g, targets))
-	return eliminateWith(g, fromRel, toRel, opt)
+	fromRel := intersectTopR(c.N(), sources, opt.R, sampling.FromMany(smp, c, sources))
+	toRel := intersectTopR(c.N(), targets, opt.R, sampling.ToMany(smp, c, targets))
+	return eliminateWith(c, fromRel, toRel, opt)
 }
 
 // intersectTopR folds the per-member reliability vectors into the
 // element-wise minimum restricted to nodes appearing in every member's
 // top-r (others are zeroed).
-func intersectTopR(g *ugraph.Graph, set []ugraph.NodeID, r int, vecs [][]float64) []float64 {
-	min := make([]float64, g.N())
-	inAll := make([]int, g.N())
+func intersectTopR(n int, set []ugraph.NodeID, r int, vecs [][]float64) []float64 {
+	min := make([]float64, n)
+	inAll := make([]int, n)
 	for i := range min {
 		min[i] = 1
 	}
@@ -106,13 +104,13 @@ func intersectTopR(g *ugraph.Graph, set []ugraph.NodeID, r int, vecs [][]float64
 	return min
 }
 
-func eliminateWith(g *ugraph.Graph, fromRel, toRel []float64, opt Options) Result {
+func eliminateWith(c *ugraph.CSR, fromRel, toRel []float64, opt Options) Result {
 	res := Result{FromRel: fromRel, ToRel: toRel}
 	// Anchor membership: any node with positive score competes; ties at
 	// zero are excluded to keep the candidate set meaningful.
 	res.FromS = topRPositive(fromRel, opt.R)
 	res.ToT = topRPositive(toRel, opt.R)
-	res.Edges = missingPairs(g, res.FromS, res.ToT, opt)
+	res.Edges = missingPairs(c, res.FromS, res.ToT, opt)
 	return res
 }
 
@@ -155,8 +153,10 @@ func topRPositive(rel []float64, r int) []ugraph.NodeID {
 
 // missingPairs emits the candidate edges C(s)×C(t) \ (E ∪ self-pairs),
 // subject to the h-hop constraint. For undirected graphs a pair eligible in
-// both orientations is emitted once.
-func missingPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) []ugraph.Edge {
+// both orientations is emitted once. c may be an overlay view (the multi
+// min/max solver eliminates on its working graph); existence and hop
+// checks see its overlay edges.
+func missingPairs(c *ugraph.CSR, from, to []ugraph.NodeID, opt Options) []ugraph.Edge {
 	var out []ugraph.Edge
 	inFrom := make(map[ugraph.NodeID]bool, len(from))
 	for _, u := range from {
@@ -167,18 +167,18 @@ func missingPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) []ugra
 		inTo[v] = true
 	}
 	for _, u := range from {
-		var allowed map[ugraph.NodeID]bool
+		var dist []int32
 		if opt.H > 0 {
-			allowed = withinHopsUndirected(g, u, opt.H)
+			dist = c.HopDistances(u, opt.H, true)
 		}
 		for _, v := range to {
-			if u == v || g.HasEdge(u, v) {
+			if u == v || c.HasEdge(u, v) {
 				continue
 			}
-			if allowed != nil && !allowed[v] {
+			if dist != nil && dist[v] < 0 {
 				continue
 			}
-			if !g.Directed() && u > v && inFrom[v] && inTo[u] {
+			if !c.Directed() && u > v && inFrom[v] && inTo[u] {
 				continue // the (v,u) orientation is emitted instead
 			}
 			out = append(out, ugraph.Edge{U: u, V: v, P: opt.Zeta})
@@ -187,76 +187,38 @@ func missingPairs(g *ugraph.Graph, from, to []ugraph.NodeID, opt Options) []ugra
 	return out
 }
 
-// withinHopsUndirected BFS-explores the topology ignoring edge direction,
-// over the graph's cached CSR snapshot (candidate generation probes many
-// sources against the same frozen topology).
-func withinHopsUndirected(g *ugraph.Graph, src ugraph.NodeID, h int) map[ugraph.NodeID]bool {
-	c := g.Freeze()
-	dist := map[ugraph.NodeID]int{src: 0}
-	queue := []ugraph.NodeID{src}
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		if dist[u] >= h {
-			continue
-		}
-		for _, a := range c.Out(u) {
-			if _, ok := dist[a.To]; !ok {
-				dist[a.To] = dist[u] + 1
-				queue = append(queue, a.To)
-			}
-		}
-		for _, a := range c.In(u) {
-			if _, ok := dist[a.To]; !ok {
-				dist[a.To] = dist[u] + 1
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	out := make(map[ugraph.NodeID]bool, len(dist))
-	for v := range dist {
-		out[v] = true
-	}
-	return out
-}
-
 // AllMissing enumerates every missing edge whose endpoints are at most h
-// hops apart (h <= 0: all missing pairs), each with probability zeta. This
-// is the unreduced search space used by the no-elimination baselines of
-// Table 4; it is O(n²) in dense settings, so callers keep graphs small.
-func AllMissing(g *ugraph.Graph, h int, zeta float64) []ugraph.Edge {
+// hops apart ignoring direction (h <= 0: all missing pairs), each with
+// probability zeta. This is the unreduced search space used by the
+// no-elimination baselines of Table 4; it is O(n²) in dense settings, so
+// callers keep graphs small.
+func AllMissing(c *ugraph.CSR, h int, zeta float64) []ugraph.Edge {
 	var out []ugraph.Edge
-	n := g.N()
+	n := c.N()
 	for ui := 0; ui < n; ui++ {
 		u := ugraph.NodeID(ui)
+		var dist []int32
 		if h > 0 {
-			reach := withinHopsUndirected(g, u, h)
-			targets := make([]ugraph.NodeID, 0, len(reach))
-			for v := range reach {
-				targets = append(targets, v)
+			dist = c.HopDistances(u, h, true)
+		}
+		for vi := 0; vi < n; vi++ {
+			v := ugraph.NodeID(vi)
+			if dist != nil && dist[v] < 0 {
+				continue
 			}
-			sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
-			for _, v := range targets {
-				if emitMissing(g, u, v) {
-					out = append(out, ugraph.Edge{U: u, V: v, P: zeta})
-				}
-			}
-		} else {
-			for vi := 0; vi < n; vi++ {
-				v := ugraph.NodeID(vi)
-				if emitMissing(g, u, v) {
-					out = append(out, ugraph.Edge{U: u, V: v, P: zeta})
-				}
+			if emitMissing(c, u, v) {
+				out = append(out, ugraph.Edge{U: u, V: v, P: zeta})
 			}
 		}
 	}
 	return out
 }
 
-func emitMissing(g *ugraph.Graph, u, v ugraph.NodeID) bool {
-	if u == v || g.HasEdge(u, v) {
+func emitMissing(c *ugraph.CSR, u, v ugraph.NodeID) bool {
+	if u == v || c.HasEdge(u, v) {
 		return false
 	}
-	if !g.Directed() && u > v {
+	if !c.Directed() && u > v {
 		return false // one orientation per undirected pair
 	}
 	return true

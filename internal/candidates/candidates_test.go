@@ -36,7 +36,7 @@ func figure4Graph() (*ugraph.Graph, ugraph.NodeID, ugraph.NodeID) {
 func TestEliminateKeepsQueryEndpoints(t *testing.T) {
 	g, s, tt := figure4Graph()
 	smp := sampling.NewMonteCarlo(2000, 1)
-	res := Eliminate(g, s, tt, smp, Options{R: 3, Zeta: 0.5})
+	res := Eliminate(g.Freeze(), s, tt, smp, Options{R: 3, Zeta: 0.5})
 	foundS, foundT := false, false
 	for _, v := range res.FromS {
 		if v == s {
@@ -62,7 +62,7 @@ func TestEliminateKeepsQueryEndpoints(t *testing.T) {
 func TestEliminateFigure4Example(t *testing.T) {
 	g, s, tt := figure4Graph()
 	smp := sampling.NewMonteCarlo(8000, 2)
-	res := Eliminate(g, s, tt, smp, Options{R: 3, Zeta: 0.5})
+	res := Eliminate(g.Freeze(), s, tt, smp, Options{R: 3, Zeta: 0.5})
 	from := map[ugraph.NodeID]bool{}
 	for _, v := range res.FromS {
 		from[v] = true
@@ -103,7 +103,7 @@ func TestEliminateFigure4Example(t *testing.T) {
 func TestEliminateNoDuplicateUndirectedPairs(t *testing.T) {
 	g, s, tt := figure4Graph()
 	smp := sampling.NewMonteCarlo(4000, 3)
-	res := Eliminate(g, s, tt, smp, Options{R: 5, Zeta: 0.5})
+	res := Eliminate(g.Freeze(), s, tt, smp, Options{R: 5, Zeta: 0.5})
 	seen := map[[2]ugraph.NodeID]bool{}
 	for _, e := range res.Edges {
 		u, v := e.U, e.V
@@ -126,18 +126,18 @@ func TestHopConstraint(t *testing.T) {
 		g.MustAddEdge(ugraph.NodeID(i), ugraph.NodeID(i+1), 0.9)
 	}
 	smp := sampling.NewMonteCarlo(4000, 4)
-	res := Eliminate(g, 0, 5, smp, Options{R: 6, H: 2, Zeta: 0.5})
-	dist0 := g.HopDistances(0, -1)
+	res := Eliminate(g.Freeze(), 0, 5, smp, Options{R: 6, H: 2, Zeta: 0.5})
+	dist0 := g.Freeze().HopDistances(0, -1, false)
 	for _, e := range res.Edges {
 		du := dist0[e.U]
 		// All pairs must be within 2 hops of each other.
-		dists := g.HopDistances(e.U, -1)
+		dists := g.Freeze().HopDistances(e.U, -1, false)
 		if dists[e.V] > 2 {
 			t.Fatalf("candidate %+v spans %d hops (du=%d)", e, dists[e.V], du)
 		}
 	}
 	// Without the constraint, 0-4 and 0-5 style long pairs appear.
-	unconstrained := Eliminate(g, 0, 5, sampling.NewMonteCarlo(4000, 4), Options{R: 6, Zeta: 0.5})
+	unconstrained := Eliminate(g.Freeze(), 0, 5, sampling.NewMonteCarlo(4000, 4), Options{R: 6, Zeta: 0.5})
 	if len(unconstrained.Edges) <= len(res.Edges) {
 		t.Fatalf("h=2 (%d edges) did not reduce the candidate set (%d)", len(res.Edges), len(unconstrained.Edges))
 	}
@@ -147,14 +147,14 @@ func TestAllMissingCountsCompleteGraph(t *testing.T) {
 	// 4-node undirected graph with one existing edge: missing = 6-1 = 5.
 	g := ugraph.New(4, false)
 	g.MustAddEdge(0, 1, 0.5)
-	got := AllMissing(g, 0, 0.5)
+	got := AllMissing(g.Freeze(), 0, 0.5)
 	if len(got) != 5 {
 		t.Fatalf("missing = %d, want 5", len(got))
 	}
 	// Directed: ordered pairs 12 - 1 existing (0→1).
 	gd := ugraph.New(4, true)
 	gd.MustAddEdge(0, 1, 0.5)
-	if got := AllMissing(gd, 0, 0.5); len(got) != 11 {
+	if got := AllMissing(gd.Freeze(), 0, 0.5); len(got) != 11 {
 		t.Fatalf("directed missing = %d, want 11", len(got))
 	}
 }
@@ -166,10 +166,10 @@ func TestAllMissingHopBound(t *testing.T) {
 	g.MustAddEdge(0, 1, 0.5)
 	g.MustAddEdge(1, 2, 0.5)
 	g.MustAddEdge(2, 3, 0.5)
-	if got := AllMissing(g, 1, 0.5); len(got) != 0 {
+	if got := AllMissing(g.Freeze(), 1, 0.5); len(got) != 0 {
 		t.Fatalf("h=1 missing = %v, want none", got)
 	}
-	got := AllMissing(g, 2, 0.5)
+	got := AllMissing(g.Freeze(), 2, 0.5)
 	if len(got) != 2 {
 		t.Fatalf("h=2 missing = %v, want 2 pairs", got)
 	}
@@ -185,7 +185,7 @@ func TestEliminateMultiIntersection(t *testing.T) {
 	g.MustAddEdge(5, 6, 0.9)
 	g.MustAddEdge(5, 7, 0.9)
 	smp := sampling.NewRSS(4000, 5)
-	res := EliminateMulti(g, []ugraph.NodeID{0, 1}, []ugraph.NodeID{6, 7}, smp, Options{R: 4, Zeta: 0.5})
+	res := EliminateMulti(g.Freeze(), []ugraph.NodeID{0, 1}, []ugraph.NodeID{6, 7}, smp, Options{R: 4, Zeta: 0.5})
 	if len(res.Edges) == 0 {
 		t.Fatal("no candidates proposed for multi query")
 	}
@@ -207,7 +207,7 @@ func TestEliminateMultiIntersection(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	g := ugraph.New(3, false)
 	g.MustAddEdge(0, 1, 0.9)
-	res := Eliminate(g, 0, 1, sampling.NewMonteCarlo(100, 6), Options{})
+	res := Eliminate(g.Freeze(), 0, 1, sampling.NewMonteCarlo(100, 6), Options{})
 	for _, e := range res.Edges {
 		if e.P != 0.5 {
 			t.Fatalf("default ζ not applied: %+v", e)

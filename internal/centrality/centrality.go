@@ -12,9 +12,9 @@ import (
 // DegreeScores returns, for each node, the sum of edge probabilities over
 // all incoming and outgoing edges ("aggregated edge probabilities" in the
 // paper). For undirected graphs every incident edge counts once.
-func DegreeScores(g *ugraph.Graph) []float64 {
-	scores := make([]float64, g.N())
-	for _, e := range g.Edges() {
+func DegreeScores(c *ugraph.CSR) []float64 {
+	scores := make([]float64, c.N())
+	for _, e := range c.Edges() {
 		scores[e.U] += e.P
 		scores[e.V] += e.P
 	}
@@ -28,8 +28,8 @@ func DegreeScores(g *ugraph.Graph) []float64 {
 // so a cancelled query does not sit through the full computation; the
 // partial scores returned on cancellation cover only the sources processed
 // so far — callers observing ctx.Err() discard them.
-func BetweennessScores(ctx context.Context, g *ugraph.Graph) []float64 {
-	n := g.N()
+func BetweennessScores(ctx context.Context, c *ugraph.CSR) []float64 {
+	n := c.N()
 	cb := make([]float64, n)
 	dist := make([]int32, n)
 	sigma := make([]float64, n)
@@ -56,15 +56,17 @@ func BetweennessScores(ctx context.Context, g *ugraph.Graph) []float64 {
 		for head := 0; head < len(queue); head++ {
 			v := queue[head]
 			stack = append(stack, v)
-			for _, a := range g.Out(v) {
-				w := a.To
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					queue = append(queue, w)
-				}
-				if dist[w] == dist[v]+1 {
-					sigma[w] += sigma[v]
-					preds[w] = append(preds[w], v)
+			for _, arcs := range [2][]ugraph.Arc{c.Out(v), c.OutOverlay(v)} {
+				for _, a := range arcs {
+					w := a.To
+					if dist[w] < 0 {
+						dist[w] = dist[v] + 1
+						queue = append(queue, w)
+					}
+					if dist[w] == dist[v]+1 {
+						sigma[w] += sigma[v]
+						preds[w] = append(preds[w], v)
+					}
 				}
 			}
 		}
@@ -78,7 +80,7 @@ func BetweennessScores(ctx context.Context, g *ugraph.Graph) []float64 {
 			}
 		}
 	}
-	if !g.Directed() {
+	if !c.Directed() {
 		// Each undirected shortest path was counted from both endpoints.
 		for i := range cb {
 			cb[i] /= 2

@@ -14,7 +14,7 @@ func TestDegreeScores(t *testing.T) {
 	g.MustAddEdge(0, 1, 0.5)
 	g.MustAddEdge(1, 2, 0.3)
 	g.MustAddEdge(0, 2, 0.2)
-	got := DegreeScores(g)
+	got := DegreeScores(g.Freeze())
 	want := []float64{0.7, 0.8, 0.5}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
@@ -26,7 +26,7 @@ func TestDegreeScores(t *testing.T) {
 func TestDegreeScoresUndirected(t *testing.T) {
 	g := ugraph.New(2, false)
 	g.MustAddEdge(0, 1, 0.4)
-	got := DegreeScores(g)
+	got := DegreeScores(g.Freeze())
 	if got[0] != 0.4 || got[1] != 0.4 {
 		t.Errorf("scores = %v, want [0.4 0.4]", got)
 	}
@@ -38,7 +38,7 @@ func TestBetweennessPathGraph(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.MustAddEdge(ugraph.NodeID(i), ugraph.NodeID(i+1), 0.5)
 	}
-	got := BetweennessScores(context.Background(), g)
+	got := BetweennessScores(context.Background(), g.Freeze())
 	want := []float64{0, 3, 4, 3, 0}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
@@ -54,7 +54,7 @@ func TestBetweennessStarGraph(t *testing.T) {
 	for leaf := 1; leaf < 5; leaf++ {
 		g.MustAddEdge(0, ugraph.NodeID(leaf), 0.9)
 	}
-	got := BetweennessScores(context.Background(), g)
+	got := BetweennessScores(context.Background(), g.Freeze())
 	if math.Abs(got[0]-6) > 1e-9 {
 		t.Errorf("center betweenness = %v, want 6", got[0])
 	}
@@ -70,7 +70,7 @@ func TestBetweennessDirectedChain(t *testing.T) {
 	g := ugraph.New(3, true)
 	g.MustAddEdge(0, 1, 0.5)
 	g.MustAddEdge(1, 2, 0.5)
-	got := BetweennessScores(context.Background(), g)
+	got := BetweennessScores(context.Background(), g.Freeze())
 	if math.Abs(got[1]-1) > 1e-9 {
 		t.Errorf("cb[1] = %v, want 1", got[1])
 	}
@@ -87,7 +87,7 @@ func TestBetweennessSplitPaths(t *testing.T) {
 	g.MustAddEdge(0, 2, 0.5)
 	g.MustAddEdge(1, 3, 0.5)
 	g.MustAddEdge(2, 3, 0.5)
-	got := BetweennessScores(context.Background(), g)
+	got := BetweennessScores(context.Background(), g.Freeze())
 	if math.Abs(got[1]-0.5) > 1e-9 || math.Abs(got[2]-0.5) > 1e-9 {
 		t.Errorf("middles = %v, want 0.5 each", got)
 	}
@@ -103,7 +103,7 @@ func TestBetweennessCancelledContextStopsEarly(t *testing.T) {
 	// The per-source sweep aborts on the first poll: the scores are
 	// partial (all zero here) and callers observing ctx.Err() discard
 	// them. The contract under test is prompt, panic-free return.
-	got := BetweennessScores(ctx, g)
+	got := BetweennessScores(ctx, g.Freeze())
 	if len(got) != 4 {
 		t.Fatalf("cancelled BetweennessScores returned malformed slice: %v", got)
 	}

@@ -15,32 +15,20 @@ import (
 // isolation — the shared inner loop of the top-k and hill-climbing
 // baselines. Batch-capable samplers (ParallelSampler) evaluate the whole
 // candidate set in one fanned-out call; serial samplers fall back to a
-// one-at-a-time loop that freezes the graph once and evaluates each
-// candidate on a CSR overlay, so no per-candidate clone or snapshot
-// rebuild happens.
-func edgeReliabilities(ctx context.Context, smp sampling.Sampler, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge) []float64 {
+// one-at-a-time loop. Either way each candidate is evaluated on an overlay
+// of g, so no per-candidate clone or snapshot rebuild happens.
+func edgeReliabilities(ctx context.Context, smp sampling.CSRSampler, g *ugraph.CSR, s, t ugraph.NodeID, cands []ugraph.Edge) []float64 {
 	if bs, ok := smp.(sampling.BatchSampler); ok {
 		return bs.EstimateEdges(g, s, t, cands)
 	}
 	out := make([]float64, len(cands))
 	scratch := make([]ugraph.Edge, 1)
-	if cs, ok := smp.(sampling.CSRSampler); ok {
-		base := g.Freeze()
-		for i, e := range cands {
-			if ctx.Err() != nil {
-				break // remaining entries stay zero; the caller discards
-			}
-			scratch[0] = e
-			out[i] = cs.ReliabilityCSR(base.WithEdges(scratch), s, t)
-		}
-		return out
-	}
 	for i, e := range cands {
 		if ctx.Err() != nil {
-			break
+			break // remaining entries stay zero; the caller discards
 		}
 		scratch[0] = e
-		out[i] = smp.Reliability(g.WithEdges(scratch), s, t)
+		out[i] = smp.ReliabilityCSR(g.WithEdges(scratch), s, t)
 	}
 	return out
 }
@@ -49,8 +37,8 @@ func edgeReliabilities(ctx context.Context, smp sampling.Sampler, g *ugraph.Grap
 // gain of each candidate edge in isolation and keep the k best. It ignores
 // interactions between chosen edges, which is exactly its documented
 // weakness.
-func individualTopK(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options) []ugraph.Edge {
-	base := smp.Reliability(g, s, t)
+func individualTopK(ctx context.Context, g *ugraph.CSR, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.CSRSampler, opt Options) []ugraph.Edge {
+	base := smp.ReliabilityCSR(g, s, t)
 	scores := edgeReliabilities(ctx, smp, g, s, t, cands)
 	if ctx.Err() != nil {
 		// The scores are incomplete (unevaluated candidates read as zero);
@@ -74,16 +62,17 @@ func individualTopK(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, ca
 // candidate edge with the maximum marginal reliability gain on the graph
 // augmented so far. Without submodularity it carries no guarantee, and its
 // Z-sampled evaluation of every candidate each round makes it the slowest
-// competitor (Tables 4-5).
-func hillClimbing(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options) []ugraph.Edge {
+// competitor (Tables 4-5). The augmented graph is an overlay of g carrying
+// the edges chosen so far.
+func hillClimbing(ctx context.Context, g *ugraph.CSR, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.CSRSampler, opt Options) []ugraph.Edge {
 	var chosen []ugraph.Edge
 	remaining := append([]ugraph.Edge(nil), cands...)
-	work := g.Clone()
+	work := g
 	for len(chosen) < opt.K && len(remaining) > 0 {
 		if ctx.Err() != nil {
 			return chosen // partial greedy prefix
 		}
-		base := smp.Reliability(work, s, t)
+		base := smp.ReliabilityCSR(work, s, t)
 		bestIdx, bestGain := -1, -1.0
 		for i, after := range edgeReliabilities(ctx, smp, work, s, t, remaining) {
 			if gain := after - base; gain > bestGain {
@@ -99,7 +88,7 @@ func hillClimbing(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cand
 		}
 		e := remaining[bestIdx]
 		chosen = append(chosen, e)
-		work.MustAddEdge(e.U, e.V, e.P)
+		work = g.WithEdges(chosen)
 		opt.emit(ProgressEvent{Stage: StageSelect, Round: len(chosen), Total: opt.K, Edges: len(chosen)})
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
@@ -113,7 +102,7 @@ func hillClimbing(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cand
 // against those incomplete scores would promote arbitrary edges, so —
 // like every score-ranking method and unlike the greedy solvers, which
 // keep their committed rounds — the partial solution holds no edges.
-func centralityEdges(ctx context.Context, g *ugraph.Graph, cands []ugraph.Edge, opt Options, useBetweenness bool) []ugraph.Edge {
+func centralityEdges(ctx context.Context, g *ugraph.CSR, cands []ugraph.Edge, opt Options, useBetweenness bool) []ugraph.Edge {
 	var scores []float64
 	if useBetweenness {
 		scores = centrality.BetweennessScores(ctx, g)
@@ -138,7 +127,7 @@ func centralityEdges(ctx context.Context, g *ugraph.Graph, cands []ugraph.Edge, 
 // eigenEdges implements the §3.4 baseline (Algorithm 2): rank candidate
 // edges by the leading-eigenvalue gain approximation u(i)·v(j) and keep
 // the k best.
-func eigenEdges(ctx context.Context, g *ugraph.Graph, cands []ugraph.Edge, opt Options) []ugraph.Edge {
+func eigenEdges(ctx context.Context, g *ugraph.CSR, cands []ugraph.Edge, opt Options) []ugraph.Edge {
 	_, left, right := eigen.Leading(ctx, g, 0)
 	if ctx.Err() != nil {
 		return nil // unconverged vectors would rank candidates arbitrarily
@@ -163,7 +152,7 @@ func eigenEdges(ctx context.Context, g *ugraph.Graph, cands []ugraph.Edge, opt O
 
 // mrpEdges solves the restricted Problem 2 exactly (Algorithm 3) and
 // returns the red edges of the best most-reliable path.
-func mrpEdges(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, opt Options) []ugraph.Edge {
+func mrpEdges(ctx context.Context, g *ugraph.CSR, s, t ugraph.NodeID, cands []ugraph.Edge, opt Options) []ugraph.Edge {
 	res := paths.ImproveMostReliablePath(ctx, g, cands, s, t, opt.K)
 	return res.Chosen
 }

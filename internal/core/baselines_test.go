@@ -27,11 +27,11 @@ func hubInstance() (*ugraph.Graph, []ugraph.Edge) {
 func TestCentralityBaselinePrefersHub(t *testing.T) {
 	g, cands := hubInstance()
 	opt := Options{K: 1}.withDefaults()
-	edges := centralityEdges(context.Background(), g, cands, opt, false)
+	edges := centralityEdges(context.Background(), g.Freeze(), cands, opt, false)
 	if len(edges) != 1 || edges[0].V != 1 {
 		t.Fatalf("degree baseline picked %v, want the hub edge 0-1", edges)
 	}
-	edges = centralityEdges(context.Background(), g, cands, opt, true)
+	edges = centralityEdges(context.Background(), g.Freeze(), cands, opt, true)
 	if len(edges) != 1 || edges[0].V != 1 {
 		t.Fatalf("betweenness baseline picked %v, want the hub edge 0-1", edges)
 	}
@@ -40,7 +40,7 @@ func TestCentralityBaselinePrefersHub(t *testing.T) {
 func TestEigenBaselinePrefersHub(t *testing.T) {
 	g, cands := hubInstance()
 	opt := Options{K: 1}.withDefaults()
-	edges := eigenEdges(context.Background(), g, cands, opt)
+	edges := eigenEdges(context.Background(), g.Freeze(), cands, opt)
 	if len(edges) != 1 || edges[0].V != 1 {
 		t.Fatalf("eigen baseline picked %v, want the hub edge 0-1", edges)
 	}
@@ -60,7 +60,7 @@ func TestEigenBaselineDirectedOrientation(t *testing.T) {
 		{U: 1, V: 3, P: 0.5}, // chord inside the dominant cycle
 	}
 	opt := Options{K: 1}.withDefaults()
-	edges := eigenEdges(context.Background(), g, cands, opt)
+	edges := eigenEdges(context.Background(), g.Freeze(), cands, opt)
 	if len(edges) != 1 || edges[0].U != 1 || edges[0].V != 3 {
 		t.Fatalf("eigen picked %v, want the cycle chord 1→3", edges)
 	}
@@ -73,10 +73,10 @@ func TestHillClimbingEmptyCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hillClimbing(context.Background(), g, 0, 5, nil, smp, opt); len(got) != 0 {
+	if got := hillClimbing(context.Background(), g.Freeze(), 0, 5, nil, smp, opt); len(got) != 0 {
 		t.Fatalf("HC with no candidates returned %v", got)
 	}
-	if got := individualTopK(context.Background(), g, 0, 5, nil, smp, opt); len(got) != 0 {
+	if got := individualTopK(context.Background(), g.Freeze(), 0, 5, nil, smp, opt); len(got) != 0 {
 		t.Fatalf("top-k with no candidates returned %v", got)
 	}
 }
@@ -84,7 +84,7 @@ func TestHillClimbingEmptyCandidates(t *testing.T) {
 func TestSolveWithNoEliminationMode(t *testing.T) {
 	g, _ := hubInstance()
 	opt := Options{K: 2, Z: 500, Seed: 3, NoElimination: true, H: 2, L: 8}
-	sol, err := Solve(context.Background(), g, 0, 5, MethodBE, opt)
+	sol, err := Solve(context.Background(), g.Freeze(), 0, 5, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSolveWithLazySampler(t *testing.T) {
 	opt := ex3Options()
 	opt.Candidates = cands
 	opt.Sampler = "lazy"
-	sol, err := Solve(context.Background(), g, ex3S, ex3T, MethodBE, opt)
+	sol, err := Solve(context.Background(), g.Freeze(), ex3S, ex3T, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestPathSelectSingletonL(t *testing.T) {
 	opt := ex3Options()
 	opt.Candidates = cands
 	opt.L = 1
-	sol, err := Solve(context.Background(), g, ex3S, ex3T, MethodBE, opt)
+	sol, err := Solve(context.Background(), g.Freeze(), ex3S, ex3T, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestPathSelectSingletonL(t *testing.T) {
 func TestMRPEdgesEmptyCandidates(t *testing.T) {
 	g, _ := example3Graph()
 	opt := ex3Options()
-	if got := mrpEdges(context.Background(), g, ex3S, ex3T, nil, opt); len(got) != 0 {
+	if got := mrpEdges(context.Background(), g.Freeze(), ex3S, ex3T, nil, opt); len(got) != 0 {
 		t.Fatalf("MRP with no candidates returned %v", got)
 	}
 }

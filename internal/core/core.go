@@ -182,9 +182,9 @@ func (o Options) Normalized() Options { return o.withDefaults() }
 // implements sampling.BatchSampler, unlocking the batched hot paths in
 // candidate elimination and greedy selection), leasing its workers from
 // opt.Scratch when one of the matching kind is supplied.
-func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.Sampler, error) {
+func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.CSRSampler, error) {
 	seed := rng.Split(o.Seed, stream).Int63()
-	var smp sampling.Sampler
+	var smp sampling.CSRSampler
 	if o.Workers != 0 {
 		if o.Scratch != nil && o.Scratch.Kind() == o.Sampler {
 			smp = sampling.NewParallelShared(o.Scratch, o.Z, seed, o.Workers)
@@ -222,7 +222,7 @@ func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.Sampler
 // elimination default), candidate sets — and therefore solver outputs —
 // differ from releases that ranked candidates with the selection sampler.
 // Results remain deterministic per (Seed, Options) as always.
-func (o Options) elimSampler(ctx context.Context) (sampling.Sampler, error) {
+func (o Options) elimSampler(ctx context.Context) (sampling.CSRSampler, error) {
 	elim := o
 	elim.Sampler = o.ElimSampler
 	return elim.NewSampler(ctx, 7)
@@ -250,12 +250,13 @@ type Solution struct {
 }
 
 // Solve answers a single-source-target budgeted reliability maximization
-// query with the given method. Cancellation is cooperative: when ctx fires
+// query with the given method on snapshot g (flat or a delta epoch).
+// Cancellation is cooperative: when ctx fires
 // the samplers abort within one sample block, the greedy loops stop at the
 // next round boundary, and Solve returns the partial Solution built so far
 // (chosen edges, elimination stats; the held-out evaluation is skipped)
 // together with an error wrapping ctx.Err().
-func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Method, opt Options) (Solution, error) {
+func Solve(ctx context.Context, g *ugraph.CSR, s, t ugraph.NodeID, method Method, opt Options) (Solution, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -333,8 +334,8 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	if err != nil {
 		return Solution{}, err
 	}
-	sol.Base = eval.Reliability(g, s, t)
-	sol.After = eval.Reliability(g.WithEdges(edges), s, t)
+	sol.Base = eval.ReliabilityCSR(g, s, t)
+	sol.After = eval.ReliabilityCSR(g.WithEdges(edges), s, t)
 	if cerr := ctx.Err(); cerr != nil {
 		sol.Base, sol.After = 0, 0 // interrupted estimates are not meaningful
 		return sol, interrupted("evaluation", cerr)
@@ -343,7 +344,7 @@ func Solve(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, method Meth
 	return sol, nil
 }
 
-func checkQuery(g *ugraph.Graph, s, t ugraph.NodeID) error {
+func checkQuery(g *ugraph.CSR, s, t ugraph.NodeID) error {
 	if s < 0 || int(s) >= g.N() {
 		return fmt.Errorf("core: source %d out of range: %w", s, ErrBadQuery)
 	}
@@ -359,23 +360,29 @@ func checkQuery(g *ugraph.Graph, s, t ugraph.NodeID) error {
 // candidateSet materializes E+ for the query per the configured policy.
 // smp is the elimination estimator (opt.elimSampler) — only consulted when
 // Algorithm 4 actually runs.
-func candidateSet(g *ugraph.Graph, s, t ugraph.NodeID, smp sampling.Sampler, opt Options) ([]ugraph.Edge, error) {
+func candidateSet(g *ugraph.CSR, s, t ugraph.NodeID, smp sampling.CSRSampler, opt Options) ([]ugraph.Edge, error) {
 	if opt.Candidates != nil {
-		out := make([]ugraph.Edge, 0, len(opt.Candidates))
-		for _, e := range opt.Candidates {
-			if e.U == e.V || g.HasEdge(e.U, e.V) {
-				continue
-			}
-			if e.P <= 0 {
-				e.P = opt.Zeta
-			}
-			out = append(out, e)
-		}
-		return out, nil
+		return overrideCandidates(g, opt), nil
 	}
 	if opt.NoElimination {
 		return candidates.AllMissing(g, opt.H, opt.Zeta), nil
 	}
 	res := candidates.Eliminate(g, s, t, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta})
 	return res.Edges, nil
+}
+
+// overrideCandidates filters opt.Candidates down to missing, non-loop
+// edges; an edge without a positive probability gets ζ.
+func overrideCandidates(g *ugraph.CSR, opt Options) []ugraph.Edge {
+	out := make([]ugraph.Edge, 0, len(opt.Candidates))
+	for _, e := range opt.Candidates {
+		if e.U == e.V || g.HasEdge(e.U, e.V) {
+			continue
+		}
+		if e.P <= 0 {
+			e.P = opt.Zeta
+		}
+		out = append(out, e)
+	}
+	return out
 }

@@ -58,7 +58,7 @@ func TestExample3BatchSelection(t *testing.T) {
 	g, cands := example3Graph()
 	opt := ex3Options()
 	opt.Candidates = cands
-	sol, err := Solve(context.Background(), g, ex3S, ex3T, MethodBE, opt)
+	sol, err := Solve(context.Background(), g.Freeze(), ex3S, ex3T, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestExample3IndividualSelection(t *testing.T) {
 	g, cands := example3Graph()
 	opt := ex3Options()
 	opt.Candidates = cands
-	sol, err := Solve(context.Background(), g, ex3S, ex3T, MethodIP, opt)
+	sol, err := Solve(context.Background(), g.Freeze(), ex3S, ex3T, MethodIP, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestExample3ExactSolver(t *testing.T) {
 	opt := ex3Options()
 	opt.Candidates = cands
 	opt.Z = 20000
-	sol, err := Solve(context.Background(), g, ex3S, ex3T, MethodExact, opt)
+	sol, err := Solve(context.Background(), g.Freeze(), ex3S, ex3T, MethodExact, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestObservation4DirectEdge(t *testing.T) {
 		{U: 2, V: 3, P: 0.5},
 	}
 	opt := Options{K: 1, Zeta: 0.5, L: 5, Z: 20000, Sampler: "mc", Seed: 3, Candidates: cands}
-	sol, err := Solve(context.Background(), g, 0, 3, MethodExact, opt)
+	sol, err := Solve(context.Background(), g.Freeze(), 0, 3, MethodExact, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAllMethodsRespectInvariants(t *testing.T) {
 		if m == MethodExact {
 			continue // needs a tiny candidate set; covered separately
 		}
-		sol, err := Solve(context.Background(), g, 0, 39, m, opt)
+		sol, err := Solve(context.Background(), g.Freeze(), 0, 39, m, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -194,19 +194,19 @@ func TestAllMethodsRespectInvariants(t *testing.T) {
 
 func TestSolveValidation(t *testing.T) {
 	g := buildTestGraph(6)
-	if _, err := Solve(context.Background(), g, 0, 0, MethodBE, Options{}); err == nil {
+	if _, err := Solve(context.Background(), g.Freeze(), 0, 0, MethodBE, Options{}); err == nil {
 		t.Error("s == t accepted")
 	}
-	if _, err := Solve(context.Background(), g, -1, 3, MethodBE, Options{}); err == nil {
+	if _, err := Solve(context.Background(), g.Freeze(), -1, 3, MethodBE, Options{}); err == nil {
 		t.Error("negative source accepted")
 	}
-	if _, err := Solve(context.Background(), g, 0, 999, MethodBE, Options{}); err == nil {
+	if _, err := Solve(context.Background(), g.Freeze(), 0, 999, MethodBE, Options{}); err == nil {
 		t.Error("out-of-range target accepted")
 	}
-	if _, err := Solve(context.Background(), g, 0, 1, Method("bogus"), Options{}); err == nil {
+	if _, err := Solve(context.Background(), g.Freeze(), 0, 1, Method("bogus"), Options{}); err == nil {
 		t.Error("unknown method accepted")
 	}
-	if _, err := Solve(context.Background(), g, 0, 1, MethodBE, Options{Sampler: "bogus"}); err == nil {
+	if _, err := Solve(context.Background(), g.Freeze(), 0, 1, MethodBE, Options{Sampler: "bogus"}); err == nil {
 		t.Error("unknown sampler accepted")
 	}
 }
@@ -214,11 +214,11 @@ func TestSolveValidation(t *testing.T) {
 func TestSolveDeterministicForSeed(t *testing.T) {
 	g := buildTestGraph(8)
 	opt := Options{K: 3, R: 10, L: 8, Z: 300, Seed: 11, H: 3}
-	a, err := Solve(context.Background(), g, 0, 39, MethodBE, opt)
+	a, err := Solve(context.Background(), g.Freeze(), 0, 39, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(context.Background(), g, 0, 39, MethodBE, opt)
+	b, err := Solve(context.Background(), g.Freeze(), 0, 39, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +249,11 @@ func TestExactBeatsOrMatchesHeuristics(t *testing.T) {
 		g.MustAddEdge(u, v, 0.2+0.5*r.Float64())
 	}
 	opt := Options{K: 2, R: 8, L: 10, Z: 4000, Seed: 4, Zeta: 0.5}
-	be, err := Solve(context.Background(), g, 0, 7, MethodBE, opt)
+	be, err := Solve(context.Background(), g.Freeze(), 0, 7, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	es, err := Solve(context.Background(), g, 0, 7, MethodExact, opt)
+	es, err := Solve(context.Background(), g.Freeze(), 0, 7, MethodExact, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestExactBeatsOrMatchesHeuristics(t *testing.T) {
 func TestExactSearchComboCap(t *testing.T) {
 	g := buildTestGraph(20)
 	opt := Options{K: 10, Z: 50, Seed: 1, MaxExactCombos: 100, H: 3}
-	if _, err := Solve(context.Background(), g, 0, 39, MethodExact, opt); err == nil {
+	if _, err := Solve(context.Background(), g.Freeze(), 0, 39, MethodExact, opt); err == nil {
 		t.Fatal("oversized exact search accepted")
 	}
 }
@@ -297,7 +297,7 @@ func TestCandidateOverrideFiltering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands, err := candidateSet(g, 0, 3, smp, opt.withDefaults())
+	cands, err := candidateSet(g.Freeze(), 0, 3, smp, opt.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestMRPMethodUsesRestrictedSolver(t *testing.T) {
 	opt := ex3Options()
 	opt.K = 1
 	opt.Candidates = cands
-	sol, err := Solve(context.Background(), g, ex3S, ex3T, MethodMRP, opt)
+	sol, err := Solve(context.Background(), g.Freeze(), ex3S, ex3T, MethodMRP, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestHillClimbingFollowsGreedyTrace(t *testing.T) {
 		{U: 0, V: 4, P: 0.5},
 	}
 	opt := Options{K: 2, Z: 20000, Seed: 21, Sampler: "mc", Candidates: cands}
-	hc, err := Solve(context.Background(), g, 0, 4, MethodHillClimbing, opt)
+	hc, err := Solve(context.Background(), g.Freeze(), 0, 4, MethodHillClimbing, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestIndividualTopKIgnoresInteractions(t *testing.T) {
 		{U: 0, V: 4, P: 0.5},
 	}
 	opt := Options{K: 1, Z: 20000, Seed: 23, Sampler: "mc", Candidates: cands}
-	sol, err := Solve(context.Background(), g, 0, 4, MethodIndividualTopK, opt)
+	sol, err := Solve(context.Background(), g.Freeze(), 0, 4, MethodIndividualTopK, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,32 +31,32 @@ func TestErrorTaxonomy(t *testing.T) {
 		want error
 	}{
 		{"source out of range", func() error {
-			_, err := Solve(ctx, g, -1, 3, MethodBE, opt)
+			_, err := Solve(ctx, g.Freeze(), -1, 3, MethodBE, opt)
 			return err
 		}, ErrBadQuery},
 		{"target out of range", func() error {
-			_, err := Solve(ctx, g, 0, 99, MethodBE, opt)
+			_, err := Solve(ctx, g.Freeze(), 0, 99, MethodBE, opt)
 			return err
 		}, ErrBadQuery},
 		{"source equals target", func() error {
-			_, err := Solve(ctx, g, 2, 2, MethodBE, opt)
+			_, err := Solve(ctx, g.Freeze(), 2, 2, MethodBE, opt)
 			return err
 		}, ErrBadQuery},
 		{"unknown method", func() error {
-			_, err := Solve(ctx, g, 0, 3, Method("bogus"), opt)
+			_, err := Solve(ctx, g.Freeze(), 0, 3, Method("bogus"), opt)
 			return err
 		}, ErrUnknownMethod},
 		{"unknown sampler serial", func() error {
 			bad := opt
 			bad.Sampler = "bogus"
-			_, err := Solve(ctx, g, 0, 3, MethodBE, bad)
+			_, err := Solve(ctx, g.Freeze(), 0, 3, MethodBE, bad)
 			return err
 		}, ErrUnknownSampler},
 		{"unknown sampler parallel", func() error {
 			bad := opt
 			bad.Sampler = "bogus"
 			bad.Workers = 2
-			_, err := Solve(ctx, g, 0, 3, MethodBE, bad)
+			_, err := Solve(ctx, g.Freeze(), 0, 3, MethodBE, bad)
 			return err
 		}, ErrUnknownSampler},
 		{"exact search over combo cap", func() error {
@@ -64,31 +64,31 @@ func TestErrorTaxonomy(t *testing.T) {
 			bad.K = 5
 			bad.MaxExactCombos = 3
 			bad.NoElimination = true
-			_, err := Solve(ctx, g, 0, 7, MethodExact, bad)
+			_, err := Solve(ctx, g.Freeze(), 0, 7, MethodExact, bad)
 			return err
 		}, ErrBudget},
 		{"non-positive total budget", func() error {
-			_, err := SolveTotalBudget(ctx, g, 0, 3, 0, opt)
+			_, err := SolveTotalBudget(ctx, g.Freeze(), 0, 3, 0, opt)
 			return err
 		}, ErrBudget},
 		{"negative total budget", func() error {
-			_, err := SolveTotalBudget(ctx, g, 0, 3, -2, opt)
+			_, err := SolveTotalBudget(ctx, g.Freeze(), 0, 3, -2, opt)
 			return err
 		}, ErrBudget},
 		{"multi empty sources", func() error {
-			_, err := SolveMulti(ctx, g, nil, []ugraph.NodeID{1}, AggAvg, MethodBE, opt)
+			_, err := SolveMulti(ctx, g.Freeze(), nil, []ugraph.NodeID{1}, AggAvg, MethodBE, opt)
 			return err
 		}, ErrBadQuery},
 		{"multi node out of range", func() error {
-			_, err := SolveMulti(ctx, g, []ugraph.NodeID{0}, []ugraph.NodeID{99}, AggAvg, MethodBE, opt)
+			_, err := SolveMulti(ctx, g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{99}, AggAvg, MethodBE, opt)
 			return err
 		}, ErrBadQuery},
 		{"multi unknown aggregate", func() error {
-			_, err := SolveMulti(ctx, g, []ugraph.NodeID{0}, []ugraph.NodeID{3}, Aggregate("bogus"), MethodBE, opt)
+			_, err := SolveMulti(ctx, g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{3}, Aggregate("bogus"), MethodBE, opt)
 			return err
 		}, ErrBadQuery},
 		{"multi unsupported method", func() error {
-			_, err := SolveMulti(ctx, g, []ugraph.NodeID{0}, []ugraph.NodeID{3}, AggAvg, MethodDegree, opt)
+			_, err := SolveMulti(ctx, g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{3}, AggAvg, MethodDegree, opt)
 			return err
 		}, ErrUnknownMethod},
 	}
@@ -123,7 +123,7 @@ func TestCancelledSolveReturnsPartialSolution(t *testing.T) {
 		MethodBE, MethodHillClimbing, MethodIndividualTopK, MethodExact,
 		MethodDegree, MethodBetweenness, MethodEigen, MethodMRP,
 	} {
-		sol, err := Solve(ctx, g, 0, 7, method, Options{K: 2, Z: 200, Seed: 1, R: 4, L: 4})
+		sol, err := Solve(ctx, g.Freeze(), 0, 7, method, Options{K: 2, Z: 200, Seed: 1, R: 4, L: 4})
 		if err == nil {
 			t.Fatalf("%s: cancelled solve returned nil error", method)
 		}
@@ -155,7 +155,7 @@ func TestDeadlineMidSolve(t *testing.T) {
 	g := benchStyleGraph(400)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	sol, err := Solve(ctx, g, 0, 399, MethodHillClimbing, Options{K: 3, Z: 200_000, Seed: 1, R: 20, L: 8})
+	sol, err := Solve(ctx, g.Freeze(), 0, 399, MethodHillClimbing, Options{K: 3, Z: 200_000, Seed: 1, R: 20, L: 8})
 	if err == nil {
 		t.Skip("machine fast enough to finish inside the deadline")
 	}
@@ -172,7 +172,7 @@ func TestCancelledSolveMulti(t *testing.T) {
 	g := errorsGraph()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	sol, err := SolveMulti(ctx, g, []ugraph.NodeID{0, 1}, []ugraph.NodeID{6, 7}, AggAvg, MethodBE,
+	sol, err := SolveMulti(ctx, g.Freeze(), []ugraph.NodeID{0, 1}, []ugraph.NodeID{6, 7}, AggAvg, MethodBE,
 		Options{K: 2, Z: 100, Seed: 1, R: 4, L: 4})
 	if err == nil {
 		t.Fatal("cancelled SolveMulti returned nil error")

@@ -14,7 +14,7 @@ import (
 // capped by MaxExactCombos; larger instances return an error rather than
 // running for days. Cancellation stops the enumeration at a combination
 // boundary, keeping the best combination found so far.
-func exactSearch(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options) ([]ugraph.Edge, error) {
+func exactSearch(ctx context.Context, g *ugraph.CSR, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.CSRSampler, opt Options) ([]ugraph.Edge, error) {
 	k := opt.K
 	if k > len(cands) {
 		k = len(cands)
@@ -30,10 +30,8 @@ func exactSearch(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands
 	best := -1.0
 	var bestSet []ugraph.Edge
 	current := make([]ugraph.Edge, 0, k)
-	// Freeze once; every combination is evaluated on a CSR overlay instead
-	// of cloning and re-indexing the whole graph per combination.
-	base := g.Freeze()
-	cs, hasCSR := smp.(sampling.CSRSampler)
+	// Every combination is evaluated on an overlay of g instead of cloning
+	// and re-indexing the whole graph per combination.
 	evaluated := 0
 	stopped := false
 	var recurse func(start int)
@@ -49,13 +47,7 @@ func exactSearch(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands
 				return
 			}
 			evaluated++
-			var rel float64
-			if hasCSR {
-				rel = cs.ReliabilityCSR(base.WithEdges(current), s, t)
-			} else {
-				rel = smp.Reliability(g.WithEdges(current), s, t)
-			}
-			if rel > best {
+			if rel := smp.ReliabilityCSR(g.WithEdges(current), s, t); rel > best {
 				best = rel
 				bestSet = append([]ugraph.Edge(nil), current...)
 			}

@@ -42,7 +42,7 @@ type MultiSolution struct {
 // PairReliabilities estimates R(s, t) for every (s, t) ∈ S×T using one
 // single-source vector query per source. Rows follow S, columns follow T.
 // Batch-capable samplers evaluate all source vectors concurrently.
-func PairReliabilities(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.Sampler) [][]float64 {
+func PairReliabilities(g *ugraph.CSR, sources, targets []ugraph.NodeID, smp sampling.CSRSampler) [][]float64 {
 	vecs := sampling.FromMany(smp, g, sources)
 	out := make([][]float64, len(sources))
 	for i := range sources {
@@ -102,7 +102,7 @@ func AggregateOf(matrix [][]float64, agg Aggregate) float64 {
 // maximization query (Problem 4). Supported methods: MethodBE (the
 // proposed solver: batch path selection for Avg, iterative per-pair
 // refinement for Min/Max), MethodHillClimbing and MethodEigen as baselines.
-func SolveMulti(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, method Method, opt Options) (MultiSolution, error) {
+func SolveMulti(ctx context.Context, g *ugraph.CSR, sources, targets []ugraph.NodeID, agg Aggregate, method Method, opt Options) (MultiSolution, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -167,19 +167,9 @@ func SolveMulti(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 
 // multiCandidates materializes E+ for a multi-pair query; smp is the
 // elimination estimator (opt.elimSampler).
-func multiCandidates(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp sampling.Sampler, opt Options) []ugraph.Edge {
+func multiCandidates(g *ugraph.CSR, sources, targets []ugraph.NodeID, smp sampling.CSRSampler, opt Options) []ugraph.Edge {
 	if opt.Candidates != nil {
-		out := make([]ugraph.Edge, 0, len(opt.Candidates))
-		for _, e := range opt.Candidates {
-			if e.U == e.V || g.HasEdge(e.U, e.V) {
-				continue
-			}
-			if e.P <= 0 {
-				e.P = opt.Zeta
-			}
-			out = append(out, e)
-		}
-		return out
+		return overrideCandidates(g, opt)
 	}
 	if opt.NoElimination {
 		return candidates.AllMissing(g, opt.H, opt.Zeta)
@@ -191,7 +181,7 @@ func multiCandidates(g *ugraph.Graph, sources, targets []ugraph.NodeID, smp samp
 // multiAvgBE implements §6.1: candidate edges from the multi-source
 // elimination, top-l paths per pair, then batch selection maximizing the
 // average reliability over all pairs on the selected-path subgraph.
-func multiAvgBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, smp, elim sampling.Sampler, opt Options) ([]ugraph.Edge, error) {
+func multiAvgBE(ctx context.Context, g *ugraph.CSR, sources, targets []ugraph.NodeID, smp, elim sampling.CSRSampler, opt Options) ([]ugraph.Edge, error) {
 	cands := multiCandidates(g, sources, targets, elim, opt)
 	opt.emit(ProgressEvent{Stage: StageEliminate, Candidates: len(cands)})
 	a := augment(g, cands)
@@ -221,9 +211,9 @@ func multiAvgBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.
 // multiEvaluator scores a selected path set against all S×T pairs on the
 // induced subgraph.
 type multiEvaluator struct {
-	gPlus            *ugraph.Graph
+	gPlus            *ugraph.CSR
 	sources, targets []ugraph.NodeID
-	smp              sampling.Sampler
+	smp              sampling.CSRSampler
 }
 
 func (ev multiEvaluator) avgReliability(selected []paths.Path) float64 {
@@ -237,7 +227,7 @@ func (ev multiEvaluator) avgReliability(selected []paths.Path) float64 {
 		ss, okS := remap[s]
 		var vec []float64
 		if okS {
-			vec = ev.smp.ReliabilityFrom(sub, ss)
+			vec = ev.smp.ReliabilityFromCSR(sub, ss)
 		}
 		for _, t := range ev.targets {
 			count++
@@ -255,9 +245,9 @@ func (ev multiEvaluator) avgReliability(selected []paths.Path) float64 {
 	return total / float64(count)
 }
 
-// inducedSubgraph builds the subgraph induced by a path set, returning the
-// node remapping.
-func inducedSubgraph(gPlus *ugraph.Graph, selected []paths.Path) (*ugraph.Graph, map[ugraph.NodeID]ugraph.NodeID) {
+// inducedSubgraph builds the subgraph induced by a path set as one flat
+// snapshot, returning the node remapping.
+func inducedSubgraph(gPlus *ugraph.CSR, selected []paths.Path) (*ugraph.CSR, map[ugraph.NodeID]ugraph.NodeID) {
 	remap := make(map[ugraph.NodeID]ugraph.NodeID)
 	nodeOf := func(v ugraph.NodeID) ugraph.NodeID {
 		if id, ok := remap[v]; ok {
@@ -288,7 +278,7 @@ func inducedSubgraph(gPlus *ugraph.Graph, selected []paths.Path) (*ugraph.Graph,
 			sub.MustAddEdge(e.u, e.v, e.p)
 		}
 	}
-	return sub, remap
+	return sub.Freeze(), remap
 }
 
 // batchSelect is the single Algorithm 5+6 greedy loop over an arbitrary
@@ -435,9 +425,11 @@ func batchSelect(ctx context.Context, a augmented, pool []paths.Path, opt Option
 // multiMinMaxBE implements §6.2/§6.3: repeatedly pick the pair with the
 // currently minimum (resp. maximum) reliability and improve it with the
 // single-pair BE solver under a per-round budget k1 = K1Ratio·k, until the
-// total budget k is spent or no further improvement is possible.
-func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.Sampler, opt Options) ([]ugraph.Edge, error) {
-	work := g.Clone()
+// total budget k is spent or no further improvement is possible. The
+// working graph is an overlay of g carrying the edges added so far; each
+// round's elimination and path extraction run on it.
+func multiMinMaxBE(ctx context.Context, g *ugraph.CSR, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.CSRSampler, opt Options) ([]ugraph.Edge, error) {
+	work := g
 	budget := opt.K
 	k1 := int(math.Round(opt.K1Ratio * float64(opt.K)))
 	if k1 < 1 {
@@ -476,8 +468,8 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 		progressed := false
 		for _, e := range edges {
 			if !work.HasEdge(e.U, e.V) {
-				work.MustAddEdge(e.U, e.V, e.P)
 				all = append(all, e)
+				work = g.WithEdges(all)
 				budget--
 				progressed = true
 			}
@@ -492,7 +484,7 @@ func multiMinMaxBE(ctx context.Context, g *ugraph.Graph, sources, targets []ugra
 	return all, nil
 }
 
-func candidateRound(g *ugraph.Graph, s, t ugraph.NodeID, elim sampling.Sampler, opt Options) []ugraph.Edge {
+func candidateRound(g *ugraph.CSR, s, t ugraph.NodeID, elim sampling.CSRSampler, opt Options) []ugraph.Edge {
 	cands, _ := candidateSet(g, s, t, elim, opt)
 	return cands
 }
@@ -528,10 +520,11 @@ func pickPairSkipping(matrix [][]float64, agg Aggregate, skip map[[2]int]bool) (
 	return bi, bj
 }
 
-// multiHillClimbing generalizes Algorithm 1 to the aggregate objective.
-func multiHillClimbing(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.Sampler, opt Options) ([]ugraph.Edge, error) {
+// multiHillClimbing generalizes Algorithm 1 to the aggregate objective; like
+// hillClimbing it keeps the chosen edges as an overlay of g.
+func multiHillClimbing(ctx context.Context, g *ugraph.CSR, sources, targets []ugraph.NodeID, agg Aggregate, smp, elim sampling.CSRSampler, opt Options) ([]ugraph.Edge, error) {
 	cands := multiCandidates(g, sources, targets, elim, opt)
-	work := g.Clone()
+	work := g
 	var chosen []ugraph.Edge
 	remaining := append([]ugraph.Edge(nil), cands...)
 	for len(chosen) < opt.K && len(remaining) > 0 {
@@ -557,7 +550,7 @@ func multiHillClimbing(ctx context.Context, g *ugraph.Graph, sources, targets []
 		}
 		e := remaining[bestIdx]
 		chosen = append(chosen, e)
-		work.MustAddEdge(e.U, e.V, e.P)
+		work = g.WithEdges(chosen)
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	return chosen, nil

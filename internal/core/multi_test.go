@@ -40,7 +40,7 @@ func TestPairReliabilities(t *testing.T) {
 	g.MustAddEdge(0, 2, 0.4)
 	g.MustAddEdge(1, 2, 0.5)
 	smp := sampling.NewMonteCarlo(40000, 5)
-	m := PairReliabilities(g, []ugraph.NodeID{0, 1}, []ugraph.NodeID{1, 2}, smp)
+	m := PairReliabilities(g.Freeze(), []ugraph.NodeID{0, 1}, []ugraph.NodeID{1, 2}, smp)
 	// R(0,1)=0.8; R(0,2)=1-(1-0.4)(1-0.8·0.5)=0.64; R(1,1)=1; R(1,2)=0.5.
 	want := [][]float64{{0.8, 0.64}, {1, 0.5}}
 	for i := range want {
@@ -72,7 +72,7 @@ func TestSolveMultiAggregates(t *testing.T) {
 	g, S, T := multiTestGraph()
 	for _, agg := range []Aggregate{AggAvg, AggMin, AggMax} {
 		opt := Options{K: 3, Zeta: 0.6, R: 8, L: 8, Z: 1500, Seed: 33}
-		sol, err := SolveMulti(context.Background(), g, S, T, agg, MethodBE, opt)
+		sol, err := SolveMulti(context.Background(), g.Freeze(), S, T, agg, MethodBE, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", agg, err)
 		}
@@ -98,7 +98,7 @@ func TestSolveMultiBaselines(t *testing.T) {
 	g, S, T := multiTestGraph()
 	opt := Options{K: 2, Zeta: 0.6, R: 8, L: 6, Z: 600, Seed: 44}
 	for _, m := range []Method{MethodHillClimbing, MethodEigen} {
-		sol, err := SolveMulti(context.Background(), g, S, T, AggAvg, m, opt)
+		sol, err := SolveMulti(context.Background(), g.Freeze(), S, T, AggAvg, m, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -111,16 +111,16 @@ func TestSolveMultiBaselines(t *testing.T) {
 func TestSolveMultiValidation(t *testing.T) {
 	g, S, T := multiTestGraph()
 	opt := Options{K: 2, Z: 200, Seed: 1}
-	if _, err := SolveMulti(context.Background(), g, nil, T, AggAvg, MethodBE, opt); err == nil {
+	if _, err := SolveMulti(context.Background(), g.Freeze(), nil, T, AggAvg, MethodBE, opt); err == nil {
 		t.Error("empty source set accepted")
 	}
-	if _, err := SolveMulti(context.Background(), g, S, []ugraph.NodeID{99}, AggAvg, MethodBE, opt); err == nil {
+	if _, err := SolveMulti(context.Background(), g.Freeze(), S, []ugraph.NodeID{99}, AggAvg, MethodBE, opt); err == nil {
 		t.Error("out-of-range target accepted")
 	}
-	if _, err := SolveMulti(context.Background(), g, S, T, Aggregate("bogus"), MethodBE, opt); err == nil {
+	if _, err := SolveMulti(context.Background(), g.Freeze(), S, T, Aggregate("bogus"), MethodBE, opt); err == nil {
 		t.Error("bogus aggregate accepted")
 	}
-	if _, err := SolveMulti(context.Background(), g, S, T, AggAvg, MethodDegree, opt); err == nil {
+	if _, err := SolveMulti(context.Background(), g.Freeze(), S, T, AggAvg, MethodDegree, opt); err == nil {
 		t.Error("unsupported multi method accepted")
 	}
 }
@@ -130,13 +130,13 @@ func TestSolveMultiValidation(t *testing.T) {
 func TestSolveMultiMinImprovesWorstPair(t *testing.T) {
 	g, S, T := multiTestGraph()
 	opt := Options{K: 4, Zeta: 0.7, R: 8, L: 8, Z: 2000, Seed: 55, K1Ratio: 0.5}
-	sol, err := SolveMulti(context.Background(), g, S, T, AggMin, MethodBE, opt)
+	sol, err := SolveMulti(context.Background(), g.Freeze(), S, T, AggMin, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eval := sampling.NewMonteCarlo(8000, 99)
-	before := AggregateOf(PairReliabilities(g, S, T, eval), AggMin)
-	after := AggregateOf(PairReliabilities(g.WithEdges(sol.Edges), S, T, eval), AggMin)
+	before := AggregateOf(PairReliabilities(g.Freeze(), S, T, eval), AggMin)
+	after := AggregateOf(PairReliabilities(g.Freeze().WithEdges(sol.Edges), S, T, eval), AggMin)
 	if after < before+0.02 {
 		t.Fatalf("min reliability %v → %v: no material improvement", before, after)
 	}
@@ -145,11 +145,11 @@ func TestSolveMultiMinImprovesWorstPair(t *testing.T) {
 func TestSolveMultiDeterministic(t *testing.T) {
 	g, S, T := multiTestGraph()
 	opt := Options{K: 3, Zeta: 0.6, R: 8, L: 6, Z: 800, Seed: 66}
-	a, err := SolveMulti(context.Background(), g, S, T, AggAvg, MethodBE, opt)
+	a, err := SolveMulti(context.Background(), g.Freeze(), S, T, AggAvg, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveMulti(context.Background(), g, S, T, AggAvg, MethodBE, opt)
+	b, err := SolveMulti(context.Background(), g.Freeze(), S, T, AggAvg, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,11 +177,11 @@ func TestMultiAvgMatchesSinglePair(t *testing.T) {
 		g.MustAddEdge(u, v, 0.1+0.4*r.Float64())
 	}
 	opt := Options{K: 3, Zeta: 0.6, R: 10, L: 10, Z: 2000, Seed: 77, H: 3}
-	single, err := Solve(context.Background(), g, 0, 19, MethodBE, opt)
+	single, err := Solve(context.Background(), g.Freeze(), 0, 19, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := SolveMulti(context.Background(), g, []ugraph.NodeID{0}, []ugraph.NodeID{19}, AggAvg, MethodBE, opt)
+	multi, err := SolveMulti(context.Background(), g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{19}, AggAvg, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

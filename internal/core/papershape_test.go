@@ -31,7 +31,7 @@ func TestPaperShapeSingleSource(t *testing.T) {
 	for qi, q := range queries {
 		for _, m := range methods {
 			opt := Options{K: 8, Zeta: 0.5, R: 15, L: 12, Z: 200, Seed: 31 + int64(qi), H: 3}
-			sol, err := Solve(context.Background(), g, q.S, q.T, m, opt)
+			sol, err := Solve(context.Background(), g.Freeze(), q.S, q.T, m, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", m, err)
 			}
@@ -70,14 +70,14 @@ func TestPaperShapeRSSFasterAtEqualAccuracy(t *testing.T) {
 	var mcTime, rssTime time.Duration
 	for qi, q := range queries {
 		optMC := Options{K: 6, Zeta: 0.5, R: 15, L: 10, Z: 400, Sampler: "mc", Seed: 41 + int64(qi), H: 3}
-		solMC, err := Solve(context.Background(), g, q.S, q.T, MethodBE, optMC)
+		solMC, err := Solve(context.Background(), g.Freeze(), q.S, q.T, MethodBE, optMC)
 		if err != nil {
 			t.Fatal(err)
 		}
 		optRSS := optMC
 		optRSS.Sampler = "rss"
 		optRSS.Z = 200
-		solRSS, err := Solve(context.Background(), g, q.S, q.T, MethodBE, optRSS)
+		solRSS, err := Solve(context.Background(), g.Freeze(), q.S, q.T, MethodBE, optRSS)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,20 +12,29 @@ import (
 // augmented is G+ = G ∪ E+ with bookkeeping to recognize candidate edges by
 // edge ID.
 type augmented struct {
-	g     *ugraph.Graph
+	g     *ugraph.CSR
 	origM int32
 	cand  map[int32]ugraph.Edge // candidate edge ID in g → original spec
 }
 
-func augment(g *ugraph.Graph, cands []ugraph.Edge) augmented {
-	a := augmented{g: g.Clone(), origM: int32(g.M()), cand: make(map[int32]ugraph.Edge, len(cands))}
+// augment builds G+ as one flat snapshot: g's edges in edge-ID order (an
+// overlay's extras last), then the candidates, which therefore take the IDs
+// from origM upward. E+ can hold up to R² edges, far more than an overlay's
+// linear-scan rows are meant for, so G+ goes through the builder once
+// rather than as an overlay of g.
+func augment(g *ugraph.CSR, cands []ugraph.Edge) augmented {
+	b := ugraph.New(g.N(), g.Directed())
+	for _, e := range g.Edges() {
+		b.MustAddEdge(e.U, e.V, e.P)
+	}
+	a := augmented{origM: int32(b.M()), cand: make(map[int32]ugraph.Edge, len(cands))}
 	for _, e := range cands {
-		if a.g.HasEdge(e.U, e.V) {
+		if b.HasEdge(e.U, e.V) {
 			continue
 		}
-		eid := a.g.MustAddEdge(e.U, e.V, e.P)
-		a.cand[eid] = e
+		a.cand[b.MustAddEdge(e.U, e.V, e.P)] = e
 	}
+	a.g = b.Freeze()
 	return a
 }
 
@@ -53,9 +62,9 @@ func labelKey(ids []int32) string {
 // pathEvaluator estimates R(s, t, P1): the s-t reliability on the subgraph
 // induced by a set of selected paths (Problem 3's objective).
 type pathEvaluator struct {
-	gPlus *ugraph.Graph
+	gPlus *ugraph.CSR
 	s, t  ugraph.NodeID
-	smp   sampling.Sampler
+	smp   sampling.CSRSampler
 }
 
 // reliability builds the induced subgraph of the given paths and estimates
@@ -71,7 +80,7 @@ func (ev pathEvaluator) reliability(selected []paths.Path) float64 {
 	if !okS || !okT {
 		return 0
 	}
-	return ev.smp.Reliability(sub, ss, tt)
+	return ev.smp.ReliabilityCSR(sub, ss, tt)
 }
 
 // pathSelect implements Algorithms 5 and 6: extract the top-l most reliable
@@ -82,7 +91,7 @@ func (ev pathEvaluator) reliability(selected []paths.Path) float64 {
 // one implementation shared with the Problem 4 solvers — driven by the
 // single-pair objective; its RNG call order is pinned against the historical
 // standalone loop by TestPathSelectMatchesReference.
-func pathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options, batch bool) ([]ugraph.Edge, int) {
+func pathSelect(ctx context.Context, g *ugraph.CSR, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.CSRSampler, opt Options, batch bool) ([]ugraph.Edge, int) {
 	a := augment(g, cands)
 	pool := paths.TopL(ctx, a.g, s, t, opt.L)
 	pathCount := len(pool)

@@ -19,7 +19,7 @@ import (
 // must reproduce its chosen edges AND its exact sequence of reliability
 // estimates (same subgraphs, same order), because the sampler is stateful —
 // one extra or reordered estimate would silently shift every later result.
-func referencePathSelect(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.Sampler, opt Options, batch bool) ([]ugraph.Edge, int) {
+func referencePathSelect(ctx context.Context, g *ugraph.CSR, s, t ugraph.NodeID, cands []ugraph.Edge, smp sampling.CSRSampler, opt Options, batch bool) ([]ugraph.Edge, int) {
 	a := augment(g, cands)
 	pool := paths.TopL(ctx, a.g, s, t, opt.L)
 	pathCount := len(pool)
@@ -172,16 +172,16 @@ type estimateCall struct {
 	rel  float64
 }
 
-// recordingSampler wraps a serial sampler and logs every Reliability call,
-// pinning the RNG call order of a greedy loop. Only the methods the
+// recordingSampler wraps a serial sampler and logs every ReliabilityCSR
+// call, pinning the RNG call order of a greedy loop. Only the methods the
 // path-selection loops actually use are instrumented.
 type recordingSampler struct {
-	sampling.Sampler
+	sampling.CSRSampler
 	calls []estimateCall
 }
 
-func (rs *recordingSampler) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
-	rel := rs.Sampler.Reliability(g, s, t)
+func (rs *recordingSampler) ReliabilityCSR(g *ugraph.CSR, s, t ugraph.NodeID) float64 {
+	rel := rs.CSRSampler.ReliabilityCSR(g, s, t)
 	rs.calls = append(rs.calls, estimateCall{n: g.N(), m: g.M(), s: s, t: t, rel: rel})
 	return rel
 }
@@ -194,7 +194,7 @@ func pathSelectFixture(t *testing.T, directed bool, seed int64) (*ugraph.Graph, 
 	r := rng.New(seed)
 	g := gen.ErdosRenyi(40, 80, directed, r)
 	gen.AssignUniform(g, 0.3, 0.9, r)
-	cands := candidates.AllMissing(g, 3, 0.5)
+	cands := candidates.AllMissing(g.Freeze(), 3, 0.5)
 	if len(cands) == 0 {
 		t.Fatal("fixture produced no candidate edges")
 	}
@@ -217,11 +217,11 @@ func TestPathSelectMatchesReference(t *testing.T) {
 				g, cands := pathSelectFixture(t, directed, seed)
 				opt := Options{K: 3, L: 12, Z: 120, Seed: seed}.withDefaults()
 
-				refRec := &recordingSampler{Sampler: sampling.NewRSS(opt.Z, opt.Seed)}
-				wantEdges, wantPaths := referencePathSelect(ctx, g, 0, ugraph.NodeID(g.N()-1), cands, refRec, opt, batch)
+				refRec := &recordingSampler{CSRSampler: sampling.NewRSS(opt.Z, opt.Seed)}
+				wantEdges, wantPaths := referencePathSelect(ctx, g.Freeze(), 0, ugraph.NodeID(g.N()-1), cands, refRec, opt, batch)
 
-				gotRec := &recordingSampler{Sampler: sampling.NewRSS(opt.Z, opt.Seed)}
-				gotEdges, gotPaths := pathSelect(ctx, g, 0, ugraph.NodeID(g.N()-1), cands, gotRec, opt, batch)
+				gotRec := &recordingSampler{CSRSampler: sampling.NewRSS(opt.Z, opt.Seed)}
+				gotEdges, gotPaths := pathSelect(ctx, g.Freeze(), 0, ugraph.NodeID(g.N()-1), cands, gotRec, opt, batch)
 
 				if wantPaths != gotPaths {
 					t.Fatalf("directed=%v batch=%v seed=%d: path count %d != reference %d",

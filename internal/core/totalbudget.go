@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/paths"
+	"repro/internal/sampling"
 	"repro/internal/ugraph"
 )
 
@@ -34,7 +35,7 @@ type TotalBudgetSolution struct {
 // allocated greedily in steps of B/Steps to whichever candidate edge
 // currently yields the largest marginal reliability gain on the
 // selected-path subgraph. Steps defaults to 20.
-func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, budget float64, opt Options) (TotalBudgetSolution, error) {
+func SolveTotalBudget(ctx context.Context, g *ugraph.CSR, s, t ugraph.NodeID, budget float64, opt Options) (TotalBudgetSolution, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -83,8 +84,8 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 	if err != nil {
 		return TotalBudgetSolution{}, err
 	}
-	sol.Base = eval.Reliability(g, s, t)
-	sol.After = eval.Reliability(g.WithEdges(sol.Edges), s, t)
+	sol.Base = eval.ReliabilityCSR(g, s, t)
+	sol.After = eval.ReliabilityCSR(g.WithEdges(sol.Edges), s, t)
 	sol.Elapsed = time.Since(start)
 	if cerr := ctx.Err(); cerr != nil {
 		sol.Base, sol.After = 0, 0
@@ -95,25 +96,26 @@ func SolveTotalBudget(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, 
 }
 
 // allocateBudget greedily distributes the probability budget over the
-// candidate edges appearing on the extracted paths.
-func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ugraph.NodeID, budget float64, opt Options, smp interface {
-	Reliability(*ugraph.Graph, ugraph.NodeID, ugraph.NodeID) float64
-}) ([]ugraph.Edge, float64) {
-	// Build the induced subgraph of ALL extracted paths once; candidate
-	// edges start at probability 0 and receive budget increments.
+// candidate edges appearing on the extracted paths. The induced subgraph of
+// all extracted paths is built once; every trial allocation re-probes one
+// candidate edge as a delta layer over the current allocation, so no trial
+// rebuilds the subgraph.
+func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ugraph.NodeID, budget float64, opt Options, smp sampling.CSRSampler) ([]ugraph.Edge, float64) {
 	sub, remap := inducedSubgraph(a.g, pool)
 	ss, okS := remap[s]
 	tt, okT := remap[t]
 	if !okS || !okT {
 		return nil, 0
 	}
-	// Locate candidate edges inside the subgraph.
+	// Locate candidate edges inside the subgraph; they start at
+	// probability 0 and receive budget increments.
 	type slot struct {
-		spec  ugraph.Edge // original endpoints
-		eid   int32       // edge id in sub
+		spec  ugraph.Edge   // original endpoints
+		u, v  ugraph.NodeID // endpoints in sub
 		alloc float64
 	}
 	var slots []*slot
+	var zero []ugraph.DeltaEdit
 	seen := map[int32]bool{}
 	for _, p := range pool {
 		for i, eid := range p.Edges {
@@ -122,24 +124,31 @@ func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ug
 			}
 			seen[eid] = true
 			u, v := remap[p.Nodes[i]], remap[p.Nodes[i+1]]
-			subEID, ok := sub.EdgeID(u, v)
-			if !ok {
+			if !sub.HasEdge(u, v) {
 				continue
 			}
-			spec := a.cand[eid]
-			slots = append(slots, &slot{spec: spec, eid: subEID})
-			if err := sub.SetProb(subEID, 0); err != nil {
-				panic(err)
-			}
+			slots = append(slots, &slot{spec: a.cand[eid], u: u, v: v})
+			zero = append(zero, ugraph.DeltaEdit{Op: ugraph.DeltaSetProb, U: u, V: v})
 		}
 	}
 	if len(slots) == 0 {
 		return nil, 0
 	}
+	reprobe := func(c *ugraph.CSR, edits ...ugraph.DeltaEdit) *ugraph.CSR {
+		next, err := c.Delta(edits)
+		if err != nil {
+			panic(err) // every slot is an edge of sub and every allocation lies in [0, 1]
+		}
+		return next
+	}
+	cur := reprobe(sub, zero...)
+	at := func(sl *slot, p float64) ugraph.DeltaEdit {
+		return ugraph.DeltaEdit{Op: ugraph.DeltaSetProb, U: sl.u, V: sl.v, P: p}
+	}
 	const steps = 20
 	delta := budget / steps
 	remaining := budget
-	current := smp.Reliability(sub, ss, tt)
+	current := smp.ReliabilityCSR(cur, ss, tt)
 	for remaining > 1e-9 {
 		if ctx.Err() != nil {
 			break // keep the allocation committed so far
@@ -153,13 +162,7 @@ func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ug
 			if sl.alloc+step > 1 {
 				continue
 			}
-			if err := sub.SetProb(sl.eid, sl.alloc+step); err != nil {
-				panic(err)
-			}
-			gain := smp.Reliability(sub, ss, tt) - current
-			if err := sub.SetProb(sl.eid, sl.alloc); err != nil {
-				panic(err)
-			}
+			gain := smp.ReliabilityCSR(reprobe(cur, at(sl, sl.alloc+step)), ss, tt) - current
 			if bestIdx < 0 || gain > bestGain {
 				bestGain = gain
 				bestIdx = i
@@ -170,9 +173,7 @@ func allocateBudget(ctx context.Context, a augmented, pool []paths.Path, s, t ug
 		}
 		sl := slots[bestIdx]
 		sl.alloc += step
-		if err := sub.SetProb(sl.eid, sl.alloc); err != nil {
-			panic(err)
-		}
+		cur = reprobe(cur, at(sl, sl.alloc))
 		current += bestGain
 		remaining -= step
 	}

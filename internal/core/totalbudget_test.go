@@ -14,7 +14,7 @@ func TestTotalBudgetBasic(t *testing.T) {
 	g, cands := example3Graph()
 	opt := ex3Options()
 	opt.Candidates = cands
-	sol, err := SolveTotalBudget(context.Background(), g, ex3S, ex3T, 1.0, opt)
+	sol, err := SolveTotalBudget(context.Background(), g.Freeze(), ex3S, ex3T, 1.0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +43,11 @@ func TestTotalBudgetMoreBudgetAtLeastAsGood(t *testing.T) {
 	g, cands := example3Graph()
 	opt := ex3Options()
 	opt.Candidates = cands
-	small, err := SolveTotalBudget(context.Background(), g, ex3S, ex3T, 0.5, opt)
+	small, err := SolveTotalBudget(context.Background(), g.Freeze(), ex3S, ex3T, 0.5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := SolveTotalBudget(context.Background(), g, ex3S, ex3T, 1.5, opt)
+	large, err := SolveTotalBudget(context.Background(), g.Freeze(), ex3S, ex3T, 1.5, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,13 @@ func TestTotalBudgetValidation(t *testing.T) {
 	g, cands := example3Graph()
 	opt := ex3Options()
 	opt.Candidates = cands
-	if _, err := SolveTotalBudget(context.Background(), g, ex3S, ex3T, 0, opt); err == nil {
+	if _, err := SolveTotalBudget(context.Background(), g.Freeze(), ex3S, ex3T, 0, opt); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := SolveTotalBudget(context.Background(), g, ex3S, ex3S, 1, opt); err == nil {
+	if _, err := SolveTotalBudget(context.Background(), g.Freeze(), ex3S, ex3S, 1, opt); err == nil {
 		t.Error("s == t accepted")
 	}
-	if _, err := SolveTotalBudget(context.Background(), g, ex3S, ex3T, -1, opt); err == nil {
+	if _, err := SolveTotalBudget(context.Background(), g.Freeze(), ex3S, ex3T, -1, opt); err == nil {
 		t.Error("negative budget accepted")
 	}
 }
@@ -78,7 +78,7 @@ func TestTotalBudgetCapsPerEdgeAtOne(t *testing.T) {
 	g := ugraph.New(3, true)
 	g.MustAddEdge(1, 2, 0.9)
 	opt := Options{K: 2, L: 5, Z: 1500, Seed: 4, Candidates: []ugraph.Edge{{U: 0, V: 1, P: 0.5}}}
-	sol, err := SolveTotalBudget(context.Background(), g, 0, 2, 3.0, opt)
+	sol, err := SolveTotalBudget(context.Background(), g.Freeze(), 0, 2, 3.0, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTotalBudgetPrefersCheapSingleEdgePath(t *testing.T) {
 		{U: 2, V: 3, P: 0.5},
 	}
 	opt := Options{K: 2, L: 6, Z: 3000, Seed: 8, Candidates: cands}
-	sol, err := SolveTotalBudget(context.Background(), g, 0, 3, 0.6, opt)
+	sol, err := SolveTotalBudget(context.Background(), g.Freeze(), 0, 3, 0.6, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

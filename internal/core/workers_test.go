@@ -54,13 +54,13 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 	for _, method := range []Method{MethodBE, MethodHillClimbing, MethodIndividualTopK} {
 		opt := base
 		opt.Workers = 1
-		ref, err := Solve(context.Background(), g, 0, 39, method, opt)
+		ref, err := Solve(context.Background(), g.Freeze(), 0, 39, method, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
 			opt.Workers = workers
-			got, err := Solve(context.Background(), g, 0, 39, method, opt)
+			got, err := Solve(context.Background(), g.Freeze(), 0, 39, method, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,12 +87,12 @@ func TestSolveMultiDeterministicAcrossWorkers(t *testing.T) {
 	sources := []ugraph.NodeID{0, 3}
 	targets := []ugraph.NodeID{30, 39}
 	opt := Options{K: 3, Zeta: 0.5, R: 8, L: 6, Z: 120, Seed: 5, Workers: 1}
-	ref, err := SolveMulti(context.Background(), g, sources, targets, AggAvg, MethodBE, opt)
+	ref, err := SolveMulti(context.Background(), g.Freeze(), sources, targets, AggAvg, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 8
-	got, err := SolveMulti(context.Background(), g, sources, targets, AggAvg, MethodBE, opt)
+	got, err := SolveMulti(context.Background(), g.Freeze(), sources, targets, AggAvg, MethodBE, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

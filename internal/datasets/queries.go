@@ -110,7 +110,7 @@ func MultiQueries(g *ugraph.Graph, count, q int, seed int64) []MultiQuery {
 }
 
 func nodeAtDistance(g *ugraph.Graph, s ugraph.NodeID, dMin, dMax int, r *rand.Rand) (ugraph.NodeID, bool) {
-	dist := g.HopDistances(s, dMax)
+	dist := g.Freeze().HopDistances(s, dMax, false)
 	var pool []ugraph.NodeID
 	for v, d := range dist {
 		if int(d) >= dMin && int(d) <= dMax {
@@ -126,7 +126,7 @@ func nodeAtDistance(g *ugraph.Graph, s ugraph.NodeID, dMin, dMax int, r *rand.Ra
 // sampleNeighborhood picks q distinct nodes within 5 hops of anchor,
 // excluding the given set.
 func sampleNeighborhood(g *ugraph.Graph, anchor ugraph.NodeID, q int, r *rand.Rand, exclude map[ugraph.NodeID]bool) []ugraph.NodeID {
-	dist := g.HopDistances(anchor, 5)
+	dist := g.Freeze().HopDistances(anchor, 5, false)
 	var pool []ugraph.NodeID
 	for v, d := range dist {
 		if d >= 0 && !exclude[ugraph.NodeID(v)] {

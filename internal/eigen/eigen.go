@@ -22,21 +22,22 @@ import (
 // The power iterations poll ctx (nil allowed) once per sweep; cancellation
 // stops at the current iterate — a valid but unconverged vector that
 // callers observing ctx.Err() discard.
-func Leading(ctx context.Context, g *ugraph.Graph, iters int) (lambda float64, left, right []float64) {
+func Leading(ctx context.Context, c *ugraph.CSR, iters int) (lambda float64, left, right []float64) {
 	if iters <= 0 {
 		iters = 200
 	}
-	right = powerIteration(ctx, g, iters, false)
-	if g.Directed() {
-		left = powerIteration(ctx, g, iters, true)
+	edges := c.Edges()
+	right = powerIteration(ctx, c.N(), c.Directed(), edges, iters, false)
+	if c.Directed() {
+		left = powerIteration(ctx, c.N(), c.Directed(), edges, iters, true)
 	} else {
 		left = append([]float64(nil), right...)
 	}
 	// Rayleigh quotient λ = rᵀ A r for the normalized right vector.
 	lambda = 0
-	for _, e := range g.Edges() {
+	for _, e := range edges {
 		lambda += right[e.U] * e.P * right[e.V]
-		if !g.Directed() {
+		if !c.Directed() {
 			lambda += right[e.V] * e.P * right[e.U]
 		}
 	}
@@ -44,9 +45,9 @@ func Leading(ctx context.Context, g *ugraph.Graph, iters int) (lambda float64, l
 }
 
 // powerIteration returns the normalized dominant eigenvector of A
-// (transpose=false) or Aᵀ (transpose=true).
-func powerIteration(ctx context.Context, g *ugraph.Graph, iters int, transpose bool) []float64 {
-	n := g.N()
+// (transpose=false) or Aᵀ (transpose=true) over n nodes and the given
+// edge list.
+func powerIteration(ctx context.Context, n int, directed bool, edges []ugraph.Edge, iters int, transpose bool) []float64 {
 	x := make([]float64, n)
 	y := make([]float64, n)
 	for i := range x {
@@ -59,8 +60,8 @@ func powerIteration(ctx context.Context, g *ugraph.Graph, iters int, transpose b
 		for i := range y {
 			y[i] = 0
 		}
-		for _, e := range g.Edges() {
-			if g.Directed() {
+		for _, e := range edges {
+			if directed {
 				if transpose {
 					y[e.U] += e.P * x[e.V]
 				} else {
@@ -104,18 +105,18 @@ type ScoredEdge struct {
 // left endpoints from the top-(k+din) nodes by left eigen-score and right
 // endpoints from the top-(k+dout) nodes by right eigen-score, where din and
 // dout are the maximum in- and out-degrees.
-func TopEdges(ctx context.Context, g *ugraph.Graph, k int) []ScoredEdge {
+func TopEdges(ctx context.Context, c *ugraph.CSR, k int) []ScoredEdge {
 	if k <= 0 {
 		return nil
 	}
-	_, left, right := Leading(ctx, g, 0)
-	din, dout := maxDegrees(g)
+	_, left, right := Leading(ctx, c, 0)
+	din, dout := maxDegrees(c)
 	srcPool := topNodes(left, k+din)
 	dstPool := topNodes(right, k+dout)
 	sel := pq.NewTopK[ScoredEdge](k)
 	for _, i := range srcPool {
 		for _, j := range dstPool {
-			if i == j || g.HasEdge(i, j) {
+			if i == j || c.HasEdge(i, j) {
 				continue
 			}
 			score := left[i] * right[j]
@@ -130,12 +131,12 @@ func TopEdges(ctx context.Context, g *ugraph.Graph, k int) []ScoredEdge {
 	return out
 }
 
-func maxDegrees(g *ugraph.Graph) (din, dout int) {
-	for v := 0; v < g.N(); v++ {
-		if d := len(g.Out(ugraph.NodeID(v))); d > dout {
+func maxDegrees(c *ugraph.CSR) (din, dout int) {
+	for v := ugraph.NodeID(0); int(v) < c.N(); v++ {
+		if d := len(c.Out(v)) + len(c.OutOverlay(v)); d > dout {
 			dout = d
 		}
-		if d := len(g.In(ugraph.NodeID(v))); d > din {
+		if d := len(c.In(v)) + len(c.InOverlay(v)); d > din {
 			din = d
 		}
 	}

@@ -13,7 +13,7 @@ func TestLeadingTwoNodeSymmetric(t *testing.T) {
 	// A = [[0, 0.5], [0.5, 0]] has λ = 0.5 with eigenvector (1,1)/√2.
 	g := ugraph.New(2, false)
 	g.MustAddEdge(0, 1, 0.5)
-	lambda, left, right := Leading(context.Background(), g, 0)
+	lambda, left, right := Leading(context.Background(), g.Freeze(), 0)
 	if math.Abs(lambda-0.5) > 1e-9 {
 		t.Fatalf("λ = %v, want 0.5", lambda)
 	}
@@ -33,7 +33,7 @@ func TestLeadingDirectedCycle(t *testing.T) {
 	g.MustAddEdge(0, 1, p)
 	g.MustAddEdge(1, 2, p)
 	g.MustAddEdge(2, 0, p)
-	lambda, left, right := Leading(context.Background(), g, 0)
+	lambda, left, right := Leading(context.Background(), g.Freeze(), 0)
 	if math.Abs(lambda-p) > 1e-6 {
 		t.Fatalf("λ = %v, want %v", lambda, p)
 	}
@@ -47,7 +47,7 @@ func TestLeadingDirectedCycle(t *testing.T) {
 
 func TestLeadingEmptyGraph(t *testing.T) {
 	g := ugraph.New(4, true)
-	lambda, _, right := Leading(context.Background(), g, 0)
+	lambda, _, right := Leading(context.Background(), g.Freeze(), 0)
 	if lambda != 0 {
 		t.Fatalf("λ = %v for empty graph, want 0", lambda)
 	}
@@ -66,7 +66,7 @@ func TestLeadingDominantComponent(t *testing.T) {
 	g.MustAddEdge(1, 2, 0.9)
 	g.MustAddEdge(0, 2, 0.9)
 	g.MustAddEdge(3, 4, 0.1)
-	lambda, _, right := Leading(context.Background(), g, 0)
+	lambda, _, right := Leading(context.Background(), g.Freeze(), 0)
 	if math.Abs(lambda-1.8) > 1e-6 { // triangle: λ = 2·0.9
 		t.Fatalf("λ = %v, want 1.8", lambda)
 	}
@@ -80,7 +80,7 @@ func TestTopEdgesAvoidsExistingAndSelf(t *testing.T) {
 	g.MustAddEdge(0, 1, 0.9)
 	g.MustAddEdge(1, 2, 0.9)
 	g.MustAddEdge(0, 2, 0.9)
-	edges := TopEdges(context.Background(), g, 3)
+	edges := TopEdges(context.Background(), g.Freeze(), 3)
 	if len(edges) == 0 {
 		t.Fatal("no edges proposed")
 	}
@@ -107,7 +107,7 @@ func TestTopEdgesScoresDescending(t *testing.T) {
 	g.MustAddEdge(1, 2, 0.8)
 	g.MustAddEdge(2, 0, 0.8)
 	g.MustAddEdge(3, 4, 0.2)
-	edges := TopEdges(context.Background(), g, 4)
+	edges := TopEdges(context.Background(), g.Freeze(), 4)
 	for i := 1; i < len(edges); i++ {
 		if edges[i].Score > edges[i-1].Score+1e-12 {
 			t.Fatalf("scores out of order: %v", edges)
@@ -118,7 +118,7 @@ func TestTopEdgesScoresDescending(t *testing.T) {
 func TestTopEdgesZeroBudget(t *testing.T) {
 	g := ugraph.New(3, false)
 	g.MustAddEdge(0, 1, 0.5)
-	if got := TopEdges(context.Background(), g, 0); got != nil {
+	if got := TopEdges(context.Background(), g.Freeze(), 0); got != nil {
 		t.Fatalf("k=0 returned %v", got)
 	}
 }
@@ -131,7 +131,7 @@ func TestLeadingCancelledContextStopsEarly(t *testing.T) {
 	cancel()
 	// The iteration stops at the initial vector: still normalized, not
 	// converged; callers observing ctx.Err() discard it. No panic, no hang.
-	_, left, right := Leading(ctx, g, 0)
+	_, left, right := Leading(ctx, g.Freeze(), 0)
 	if len(left) != 3 || len(right) != 3 {
 		t.Fatalf("cancelled Leading returned malformed vectors: %v %v", left, right)
 	}

@@ -113,7 +113,7 @@ func table11(ctx context.Context, p Params) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		elim := candidates.Eliminate(g, q.S, q.T, smp, candidates.Options{R: opt.R, Zeta: opt.Zeta})
+		elim := candidates.Eliminate(g.Freeze(), q.S, q.T, smp, candidates.Options{R: opt.R, Zeta: opt.Zeta})
 		inFrom := map[ugraph.NodeID]bool{}
 		for _, v := range elim.FromS {
 			inFrom[v] = true
@@ -134,7 +134,7 @@ func table11(ctx context.Context, p Params) (Table, error) {
 		opt.Candidates = cands
 		var esEdges []ugraph.Edge
 		for _, m := range []core.Method{core.MethodExact, core.MethodIP, core.MethodBE} {
-			sol, err := core.Solve(ctx, g, q.S, q.T, m, opt)
+			sol, err := core.Solve(ctx, g.Freeze(), q.S, q.T, m, opt)
 			if err != nil {
 				return Table{}, fmt.Errorf("%s: %w", m, err)
 			}
@@ -221,7 +221,7 @@ func sensorCase(ctx context.Context, p Params, id string, pick func(*ugraph.Grap
 	s, tt := pick(g, pos)
 	opt := core.Options{K: 3, Zeta: 0.33, L: 25, Z: 1500, Sampler: "rss", Seed: p.Seed, R: 25, Workers: p.Workers}
 	opt.Candidates = intelCandidates(g, pos, 15)
-	sol, err := core.Solve(ctx, g, s, tt, core.MethodBE, opt)
+	sol, err := core.Solve(ctx, g.Freeze(), s, tt, core.MethodBE, opt)
 	if err != nil {
 		return Table{}, err
 	}
@@ -280,7 +280,7 @@ func fig8(ctx context.Context, p Params) (Table, error) {
 		juniors = append(juniors, all[i].v)
 	}
 	cfg := influence.Config{Z: 400, Seed: p.Seed}
-	before := influence.Spread(ctx, g, seniors, juniors, cfg)
+	before := influence.Spread(ctx, g.Freeze(), seniors, juniors, cfg)
 	ks := []int{5, 10, 20}
 	if p.Quick {
 		ks = []int{5}
@@ -294,16 +294,16 @@ func fig8(ctx context.Context, p Params) (Table, error) {
 	for _, k := range ks {
 		opt := baseOpt(p, 8)
 		opt.K = k
-		eo, err := core.SolveMulti(ctx, g, seniors, juniors, core.AggAvg, core.MethodEigen, opt)
+		eo, err := core.SolveMulti(ctx, g.Freeze(), seniors, juniors, core.AggAvg, core.MethodEigen, opt)
 		if err != nil {
 			return Table{}, err
 		}
-		be, err := core.SolveMulti(ctx, g, seniors, juniors, core.AggAvg, core.MethodBE, opt)
+		be, err := core.SolveMulti(ctx, g.Freeze(), seniors, juniors, core.AggAvg, core.MethodBE, opt)
 		if err != nil {
 			return Table{}, err
 		}
-		spreadEO := influence.Spread(ctx, g.WithEdges(eo.Edges), seniors, juniors, cfg)
-		spreadBE := influence.Spread(ctx, g.WithEdges(be.Edges), seniors, juniors, cfg)
+		spreadEO := influence.Spread(ctx, g.Freeze().WithEdges(eo.Edges), seniors, juniors, cfg)
+		spreadBE := influence.Spread(ctx, g.Freeze().WithEdges(be.Edges), seniors, juniors, cfg)
 		t.Rows = append(t.Rows, []string{fmt.Sprint(k), f2(spreadEO), f2(spreadBE), f2(before)})
 	}
 	return t, nil

@@ -32,28 +32,28 @@ func runMultiMethod(ctx context.Context, g *ugraph.Graph, q datasets.MultiQuery,
 	switch name {
 	case "HC":
 		var sol core.MultiSolution
-		sol, err = core.SolveMulti(ctx, g, q.Sources, q.Targets, agg, core.MethodHillClimbing, opt)
+		sol, err = core.SolveMulti(ctx, g.Freeze(), q.Sources, q.Targets, agg, core.MethodHillClimbing, opt)
 		edges = sol.Edges
 	case "EO":
 		var sol core.MultiSolution
-		sol, err = core.SolveMulti(ctx, g, q.Sources, q.Targets, agg, core.MethodEigen, opt)
+		sol, err = core.SolveMulti(ctx, g.Freeze(), q.Sources, q.Targets, agg, core.MethodEigen, opt)
 		edges = sol.Edges
 	case "BE":
 		var sol core.MultiSolution
-		sol, err = core.SolveMulti(ctx, g, q.Sources, q.Targets, agg, core.MethodBE, opt)
+		sol, err = core.SolveMulti(ctx, g.Freeze(), q.Sources, q.Targets, agg, core.MethodBE, opt)
 		edges = sol.Edges
 	case "ESSSP", "IMA":
 		smp, serr := opt.NewSampler(ctx, 31)
 		if serr != nil {
 			return nil, 0, serr
 		}
-		res := candidates.EliminateMulti(g, q.Sources, q.Targets, smp,
+		res := candidates.EliminateMulti(g.Freeze(), q.Sources, q.Targets, smp,
 			candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta})
 		cfg := influence.Config{Z: opt.Z, Seed: opt.Seed}
 		if name == "ESSSP" {
-			edges = influence.ESSSP(ctx, g, q.Sources, q.Targets, res.Edges, opt.K, cfg)
+			edges = influence.ESSSP(ctx, g.Freeze(), q.Sources, q.Targets, res.Edges, opt.K, cfg)
 		} else {
-			edges = influence.IMA(ctx, g, q.Sources, q.Targets, res.Edges, opt.K, cfg)
+			edges = influence.IMA(ctx, g.Freeze(), q.Sources, q.Targets, res.Edges, opt.K, cfg)
 		}
 	default:
 		err = fmt.Errorf("exp: unknown multi method %q", name)
@@ -96,13 +96,13 @@ func multiSweep(ctx context.Context, p Params, id string, agg core.Aggregate) (T
 			if err != nil {
 				return Table{}, err
 			}
-			base := core.AggregateOf(core.PairReliabilities(g, mq.Sources, mq.Targets, eval), agg)
+			base := core.AggregateOf(core.PairReliabilities(g.Freeze(), mq.Sources, mq.Targets, eval), agg)
 			for _, name := range multiMethodNames {
 				edges, elapsed, err := runMultiMethod(ctx, g, mq, name, agg, opt)
 				if err != nil {
 					return Table{}, fmt.Errorf("%s: %w", name, err)
 				}
-				after := core.AggregateOf(core.PairReliabilities(g.WithEdges(edges), mq.Sources, mq.Targets, eval), agg)
+				after := core.AggregateOf(core.PairReliabilities(g.Freeze().WithEdges(edges), mq.Sources, mq.Targets, eval), agg)
 				gains[name] += after - base
 				times[name] += float64(elapsed.Microseconds()) / 1000
 			}
@@ -153,7 +153,7 @@ func fig5(ctx context.Context, p Params) (Table, error) {
 			opt.H = 0
 			opt.Seed += int64(qi) * 389
 			for ai, agg := range aggs {
-				sol, err := core.SolveMulti(ctx, g, mq.Sources, mq.Targets, agg, core.MethodBE, opt)
+				sol, err := core.SolveMulti(ctx, g.Freeze(), mq.Sources, mq.Targets, agg, core.MethodBE, opt)
 				if err != nil {
 					return Table{}, err
 				}

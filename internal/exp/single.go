@@ -85,7 +85,7 @@ func runMethods(ctx context.Context, g *ugraph.Graph, queries []datasets.Query, 
 			var sol core.Solution
 			var err error
 			_, alloc := measured(func() {
-				sol, err = core.Solve(ctx, g, q.S, q.T, m, qopt)
+				sol, err = core.Solve(ctx, g.Freeze(), q.S, q.T, m, qopt)
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s on query %d: %w", m, qi, err)
@@ -365,7 +365,7 @@ func table16(ctx context.Context, p Params) (Table, error) {
 			for _, m := range methods {
 				var sol core.Solution
 				var err error
-				_, alloc := measured(func() { sol, err = core.Solve(ctx, g, q.S, q.T, m, qopt) })
+				_, alloc := measured(func() { sol, err = core.Solve(ctx, g.Freeze(), q.S, q.T, m, qopt) })
 				if err != nil {
 					return Table{}, err
 				}
@@ -573,6 +573,6 @@ func candidateEdgesFor(ctx context.Context, g *ugraph.Graph, q datasets.Query, o
 	if err != nil {
 		return nil, err
 	}
-	res := candidates.Eliminate(g, q.S, q.T, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta})
+	res := candidates.Eliminate(g.Freeze(), q.S, q.T, smp, candidates.Options{R: opt.R, H: opt.H, Zeta: opt.Zeta})
 	return res.Edges, nil
 }

@@ -53,7 +53,7 @@ func table8(ctx context.Context, p Params) (Table, error) {
 			f2(q1), f2(q2), f2(q3),
 			kind,
 			f2(gen.AvgShortestPath(g, sample, r)),
-			fmt.Sprint(g.Diameter(sample)),
+			fmt.Sprint(g.Freeze().Diameter(sample)),
 			f2(gen.AvgClustering(g, 10*sample, r)),
 		})
 	}
@@ -87,7 +87,7 @@ func extBudget(ctx context.Context, p Params) (Table, error) {
 		for qi, q := range queries {
 			opt := baseOpt(p, 90)
 			opt.Seed += int64(qi) * 577
-			tb, err := core.SolveTotalBudget(ctx, g, q.S, q.T, b, opt)
+			tb, err := core.SolveTotalBudget(ctx, g.Freeze(), q.S, q.T, b, opt)
 			if err != nil {
 				return Table{}, err
 			}
@@ -96,7 +96,7 @@ func extBudget(ctx context.Context, p Params) (Table, error) {
 			timeMS += float64(tb.Elapsed.Microseconds()) / 1000
 			beOpt := opt
 			beOpt.K = int(b/0.5 + 0.999)
-			sol, err := core.Solve(ctx, g, q.S, q.T, core.MethodBE, beOpt)
+			sol, err := core.Solve(ctx, g.Freeze(), q.S, q.T, core.MethodBE, beOpt)
 			if err != nil {
 				return Table{}, err
 			}

@@ -53,8 +53,9 @@ func AvgClustering(g *ugraph.Graph, sample int, r *rand.Rand) float64 {
 func AvgShortestPath(g *ugraph.Graph, sample int, r *rand.Rand) float64 {
 	idx := nodeSample(g.N(), sample, r)
 	total, pairs := 0.0, 0
+	c := g.Freeze()
 	for _, u := range idx {
-		dist := g.HopDistances(u, -1)
+		dist := c.HopDistances(u, -1, false)
 		for v, d := range dist {
 			if d > 0 && ugraph.NodeID(v) != u {
 				total += float64(d)

@@ -12,7 +12,7 @@ func TestIMABudgetExceedsCandidates(t *testing.T) {
 	g := ugraph.New(3, true)
 	g.MustAddEdge(1, 2, 0.9)
 	cands := []ugraph.Edge{{U: 0, V: 1, P: 0.8}}
-	edges := IMA(context.Background(), g, []ugraph.NodeID{0}, []ugraph.NodeID{2}, cands, 10, Config{Z: 300, Seed: 3})
+	edges := IMA(context.Background(), g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{2}, cands, 10, Config{Z: 300, Seed: 3})
 	if len(edges) != 1 {
 		t.Fatalf("edges = %v, want the single candidate", edges)
 	}
@@ -21,7 +21,7 @@ func TestIMABudgetExceedsCandidates(t *testing.T) {
 func TestESSSPEmptyCandidates(t *testing.T) {
 	g := ugraph.New(3, true)
 	g.MustAddEdge(0, 1, 0.9)
-	edges := ESSSP(context.Background(), g, []ugraph.NodeID{0}, []ugraph.NodeID{1}, nil, 5, Config{Z: 100, Seed: 4})
+	edges := ESSSP(context.Background(), g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{1}, nil, 5, Config{Z: 100, Seed: 4})
 	if len(edges) != 0 {
 		t.Fatalf("edges = %v, want none", edges)
 	}
@@ -35,7 +35,7 @@ func TestIMASequentialBridge(t *testing.T) {
 		{U: 0, V: 1, P: 0.9},
 		{U: 1, V: 2, P: 0.9},
 	}
-	edges := IMA(context.Background(), g, []ugraph.NodeID{0}, []ugraph.NodeID{1, 2}, cands, 2, Config{Z: 2000, Seed: 5})
+	edges := IMA(context.Background(), g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{1, 2}, cands, 2, Config{Z: 2000, Seed: 5})
 	if len(edges) != 2 {
 		t.Fatalf("edges = %v, want both bridge edges", edges)
 	}
@@ -48,7 +48,7 @@ func TestSpreadDefaults(t *testing.T) {
 	g := ugraph.New(2, true)
 	g.MustAddEdge(0, 1, 0.5)
 	// Zero-value config must apply defaults rather than dividing by zero.
-	got := Spread(context.Background(), g, []ugraph.NodeID{0}, []ugraph.NodeID{1}, Config{})
+	got := Spread(context.Background(), g.Freeze(), []ugraph.NodeID{0}, []ugraph.NodeID{1}, Config{})
 	if got < 0 || got > 1 {
 		t.Fatalf("spread = %v", got)
 	}
@@ -63,7 +63,7 @@ func TestSpreadMatchesSumOfReliabilities(t *testing.T) {
 	g.MustAddEdge(1, 2, 0.5)
 	g.MustAddEdge(0, 3, 0.3)
 	targets := []ugraph.NodeID{1, 2, 3}
-	spread := Spread(context.Background(), g, []ugraph.NodeID{0}, targets, Config{Z: 60000, Seed: 6})
+	spread := Spread(context.Background(), g.Freeze(), []ugraph.NodeID{0}, targets, Config{Z: 60000, Seed: 6})
 	want := 0.0
 	for _, tt := range targets {
 		r, err := g.ExactReliability(0, tt)

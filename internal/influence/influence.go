@@ -39,11 +39,11 @@ func (c Config) withDefaults() Config {
 // Under possible-world semantics this equals Σ_{t∈T} Pr[some s reaches t].
 // A cancelled ctx stops the sampler within one sample block; the partial
 // estimate is still unbiased but lower-resolution.
-func Spread(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, cfg Config) float64 {
+func Spread(ctx context.Context, c *ugraph.CSR, sources, targets []ugraph.NodeID, cfg Config) float64 {
 	cfg = cfg.withDefaults()
 	mc := sampling.NewMonteCarlo(cfg.Z, rng.Split(cfg.Seed, 11).Int63())
 	mc.SetContext(ctx)
-	reach := mc.MultiSourceReachCSR(g.Freeze(), sources)
+	reach := mc.MultiSourceReachCSR(c, sources)
 	total := 0.0
 	for _, t := range targets {
 		total += reach[t]
@@ -53,47 +53,47 @@ func Spread(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.Node
 
 // IMA greedily adds up to k candidate edges maximizing the influence spread
 // from sources to targets. Cancellation keeps the rounds committed so far.
-func IMA(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, cands []ugraph.Edge, k int, cfg Config) []ugraph.Edge {
+func IMA(ctx context.Context, c *ugraph.CSR, sources, targets []ugraph.NodeID, cands []ugraph.Edge, k int, cfg Config) []ugraph.Edge {
 	cfg = cfg.withDefaults()
 	mc := sampling.NewMonteCarlo(cfg.Z, rng.Split(cfg.Seed, 12).Int63())
 	mc.SetContext(ctx)
-	objective := func(c *ugraph.CSR) float64 {
-		reach := mc.MultiSourceReachCSR(c, sources)
+	objective := func(view *ugraph.CSR) float64 {
+		reach := mc.MultiSourceReachCSR(view, sources)
 		total := 0.0
 		for _, t := range targets {
 			total += reach[t]
 		}
 		return total
 	}
-	return greedyMaximize(ctx, g, cands, k, objective)
+	return greedyMaximize(ctx, c, cands, k, objective)
 }
 
 // ESSSP greedily adds up to k candidate edges minimizing the sum of
 // expected shortest-path hop lengths over sources×targets; unreachable
 // pairs are charged a penalty of N hops. Cancellation keeps the rounds
 // committed so far.
-func ESSSP(ctx context.Context, g *ugraph.Graph, sources, targets []ugraph.NodeID, cands []ugraph.Edge, k int, cfg Config) []ugraph.Edge {
+func ESSSP(ctx context.Context, c *ugraph.CSR, sources, targets []ugraph.NodeID, cands []ugraph.Edge, k int, cfg Config) []ugraph.Edge {
 	cfg = cfg.withDefaults()
 	mc := sampling.NewMonteCarlo(cfg.Z, rng.Split(cfg.Seed, 13).Int63())
 	mc.SetContext(ctx)
-	penalty := float64(g.N())
-	objective := func(c *ugraph.CSR) float64 {
-		return -mc.ExpectedPairHopsCSR(c, sources, targets, penalty)
+	penalty := float64(c.N())
+	objective := func(view *ugraph.CSR) float64 {
+		return -mc.ExpectedPairHopsCSR(view, sources, targets, penalty)
 	}
-	return greedyMaximize(ctx, g, cands, k, objective)
+	return greedyMaximize(ctx, c, cands, k, objective)
 }
 
 // greedyMaximize runs k rounds of marginal-gain edge selection for an
-// arbitrary snapshot objective (higher is better). Each round freezes the
-// working graph once and scores every remaining candidate on a CSR overlay
-// of that snapshot, so the per-candidate cost is the estimate alone — no
-// clone, no snapshot rebuild. A cancelled ctx stops between candidates and
-// returns the greedy prefix committed in completed rounds.
-func greedyMaximize(ctx context.Context, g *ugraph.Graph, cands []ugraph.Edge, k int, objective func(*ugraph.CSR) float64) []ugraph.Edge {
+// arbitrary snapshot objective (higher is better). The working graph is
+// an overlay of c carrying the edges chosen so far, and every remaining
+// candidate is scored on a one-edge overlay of it, so neither a round nor
+// a candidate clones or rebuilds the graph. A cancelled ctx stops between
+// candidates and returns the greedy prefix committed in completed rounds.
+func greedyMaximize(ctx context.Context, c *ugraph.CSR, cands []ugraph.Edge, k int, objective func(*ugraph.CSR) float64) []ugraph.Edge {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	work := g.Clone()
+	work := c
 	remaining := append([]ugraph.Edge(nil), cands...)
 	var chosen []ugraph.Edge
 	scratch := make([]ugraph.Edge, 1)
@@ -101,15 +101,14 @@ func greedyMaximize(ctx context.Context, g *ugraph.Graph, cands []ugraph.Edge, k
 		if ctx.Err() != nil {
 			return chosen
 		}
-		snap := work.Freeze()
-		base := objective(snap)
+		base := objective(work)
 		bestIdx, bestGain := -1, 0.0
 		for i, e := range remaining {
 			if ctx.Err() != nil {
 				break
 			}
 			scratch[0] = e
-			gain := objective(snap.WithEdges(scratch)) - base
+			gain := objective(work.WithEdges(scratch)) - base
 			if bestIdx < 0 || gain > bestGain {
 				bestGain = gain
 				bestIdx = i
@@ -120,7 +119,7 @@ func greedyMaximize(ctx context.Context, g *ugraph.Graph, cands []ugraph.Edge, k
 		}
 		e := remaining[bestIdx]
 		chosen = append(chosen, e)
-		work.MustAddEdge(e.U, e.V, e.P)
+		work = c.WithEdges(chosen)
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
 	}
 	return chosen

@@ -37,12 +37,11 @@ type MRPResult struct {
 // cancelled context returns the zero MRPResult (the search holds no usable
 // partial answer — a prefix of the layered relaxation proves nothing about
 // the optimum).
-func ImproveMostReliablePath(ctx context.Context, g *ugraph.Graph, candidates []ugraph.Edge, s, t ugraph.NodeID, k int) MRPResult {
+func ImproveMostReliablePath(ctx context.Context, c *ugraph.CSR, candidates []ugraph.Edge, s, t ugraph.NodeID, k int) MRPResult {
 	if k < 0 {
 		k = 0
 	}
-	c := g.Freeze() // blue-edge relaxations walk the flat snapshot
-	n := g.N()
+	n := c.N()
 	layers := k + 1
 	// Red adjacency: candidate edges by source node (both directions for
 	// undirected graphs).
@@ -56,7 +55,7 @@ func ImproveMostReliablePath(ctx context.Context, g *ugraph.Graph, candidates []
 			continue
 		}
 		redOut[e.U] = append(redOut[e.U], redArc{to: e.V, idx: int32(i)})
-		if !g.Directed() {
+		if !c.Directed() {
 			redOut[e.V] = append(redOut[e.V], redArc{to: e.U, idx: int32(i)})
 		}
 	}
@@ -87,18 +86,20 @@ func ImproveMostReliablePath(ctx context.Context, g *ugraph.Graph, candidates []
 		}
 		layer := int(st) / n
 		u := ugraph.NodeID(int(st) % n)
-		for _, a := range c.Out(u) {
-			p := c.Prob(a.EID)
-			if p <= 0 {
-				continue
-			}
-			ns := state(a.To, layer)
-			nd := d - math.Log(p)
-			if nd < dist[ns] {
-				dist[ns] = nd
-				parent[ns] = st
-				parentRed[ns] = -1
-				h.Push(nd, ns)
+		for _, arcs := range [2][]ugraph.Arc{c.Out(u), c.OutOverlay(u)} {
+			for _, a := range arcs {
+				p := c.Prob(a.EID)
+				if p <= 0 {
+					continue
+				}
+				ns := state(a.To, layer)
+				nd := d - math.Log(p)
+				if nd < dist[ns] {
+					dist[ns] = nd
+					parent[ns] = st
+					parentRed[ns] = -1
+					h.Push(nd, ns)
+				}
 			}
 		}
 		if layer < k {

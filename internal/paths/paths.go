@@ -32,18 +32,17 @@ func (p Path) Weight() float64 {
 
 // MostReliable returns the most reliable path from s to t (Equation 5), or
 // ok=false if t is unreachable through positive-probability edges.
-func MostReliable(g *ugraph.Graph, s, t ugraph.NodeID) (Path, bool) {
-	return dijkstra(g, s, t, nil, nil)
+func MostReliable(c *ugraph.CSR, s, t ugraph.NodeID) (Path, bool) {
+	return dijkstra(c, s, t, nil, nil)
 }
 
 // dijkstra runs a most-reliable-path search from s to t, skipping banned
 // edges and banned nodes (nil means none; s itself is never banned). The
-// relaxation loop walks the graph's cached CSR snapshot: the Yen-style
-// top-l enumeration re-runs dijkstra once per deviation, all against the
-// same frozen topology.
-func dijkstra(g *ugraph.Graph, s, t ugraph.NodeID, bannedEdge map[int32]bool, bannedNode []bool) (Path, bool) {
-	c := g.Freeze()
-	n := g.N()
+// relaxation loop walks the snapshot's rows, overlay arcs included: the
+// Yen-style top-l enumeration re-runs dijkstra once per deviation, all
+// against the same frozen topology.
+func dijkstra(c *ugraph.CSR, s, t ugraph.NodeID, bannedEdge map[int32]bool, bannedNode []bool) (Path, bool) {
+	n := c.N()
 	dist := make([]float64, n)
 	parent := make([]int32, n)     // predecessor node
 	parentEdge := make([]int32, n) // edge used to arrive
@@ -65,36 +64,38 @@ func dijkstra(g *ugraph.Graph, s, t ugraph.NodeID, bannedEdge map[int32]bool, ba
 		if u == t {
 			break
 		}
-		for _, a := range c.Out(u) {
-			if done[a.To] {
-				continue
-			}
-			if bannedEdge != nil && bannedEdge[a.EID] {
-				continue
-			}
-			if bannedNode != nil && bannedNode[a.To] {
-				continue
-			}
-			p := c.Prob(a.EID)
-			if p <= 0 {
-				continue
-			}
-			nd := d - math.Log(p)
-			if nd < dist[a.To] {
-				dist[a.To] = nd
-				parent[a.To] = int32(u)
-				parentEdge[a.To] = a.EID
-				h.Push(nd, a.To)
+		for _, arcs := range [2][]ugraph.Arc{c.Out(u), c.OutOverlay(u)} {
+			for _, a := range arcs {
+				if done[a.To] {
+					continue
+				}
+				if bannedEdge != nil && bannedEdge[a.EID] {
+					continue
+				}
+				if bannedNode != nil && bannedNode[a.To] {
+					continue
+				}
+				p := c.Prob(a.EID)
+				if p <= 0 {
+					continue
+				}
+				nd := d - math.Log(p)
+				if nd < dist[a.To] {
+					dist[a.To] = nd
+					parent[a.To] = int32(u)
+					parentEdge[a.To] = a.EID
+					h.Push(nd, a.To)
+				}
 			}
 		}
 	}
 	if math.IsInf(dist[t], 1) {
 		return Path{}, false
 	}
-	return reconstruct(g, s, t, parent, parentEdge), true
+	return reconstruct(c, s, t, parent, parentEdge), true
 }
 
-func reconstruct(g *ugraph.Graph, s, t ugraph.NodeID, parent, parentEdge []int32) Path {
+func reconstruct(c *ugraph.CSR, s, t ugraph.NodeID, parent, parentEdge []int32) Path {
 	var nodes []ugraph.NodeID
 	var edges []int32
 	for v := t; ; {
@@ -114,7 +115,7 @@ func reconstruct(g *ugraph.Graph, s, t ugraph.NodeID, parent, parentEdge []int32
 	}
 	prob := 1.0
 	for _, eid := range edges {
-		prob *= g.Prob(eid)
+		prob *= c.Prob(eid)
 	}
 	return Path{Nodes: nodes, Edges: edges, Prob: prob}
 }
@@ -125,18 +126,18 @@ func reconstruct(g *ugraph.Graph, s, t ugraph.NodeID, parent, parentEdge []int32
 // subroutine; the output is exact. Extraction polls ctx between paths: a
 // cancelled context stops the enumeration and returns the (still exact,
 // still sorted) prefix found so far.
-func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Path {
+func TopL(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, l int) []Path {
 	if l <= 0 {
 		return nil
 	}
-	first, ok := MostReliable(g, s, t)
+	first, ok := MostReliable(c, s, t)
 	if !ok {
 		return nil
 	}
 	result := []Path{first}
 	seen := map[string]bool{pathKey(first): true}
 	var candidates pq.Heap[Path]
-	bannedNode := make([]bool, g.N())
+	bannedNode := make([]bool, c.N())
 	for len(result) < l {
 		if ctx != nil && ctx.Err() != nil {
 			break
@@ -155,14 +156,14 @@ func TopL(ctx context.Context, g *ugraph.Graph, s, t ugraph.NodeID, l int) []Pat
 			for _, v := range rootNodes[:len(rootNodes)-1] {
 				bannedNode[v] = true
 			}
-			spurPath, ok := dijkstra(g, spur, t, bannedEdge, bannedNode)
+			spurPath, ok := dijkstra(c, spur, t, bannedEdge, bannedNode)
 			for _, v := range rootNodes[:len(rootNodes)-1] {
 				bannedNode[v] = false
 			}
 			if !ok {
 				continue
 			}
-			total := joinPaths(g, rootNodes, rootEdges, spurPath)
+			total := joinPaths(c, rootNodes, rootEdges, spurPath)
 			key := pathKey(total)
 			if seen[key] {
 				continue
@@ -206,7 +207,7 @@ func pathKey(p Path) string {
 	return string(buf)
 }
 
-func joinPaths(g *ugraph.Graph, rootNodes []ugraph.NodeID, rootEdges []int32, spur Path) Path {
+func joinPaths(c *ugraph.CSR, rootNodes []ugraph.NodeID, rootEdges []int32, spur Path) Path {
 	nodes := make([]ugraph.NodeID, 0, len(rootNodes)+len(spur.Nodes)-1)
 	nodes = append(nodes, rootNodes...)
 	nodes = append(nodes, spur.Nodes[1:]...)
@@ -215,7 +216,7 @@ func joinPaths(g *ugraph.Graph, rootNodes []ugraph.NodeID, rootEdges []int32, sp
 	edges = append(edges, spur.Edges...)
 	prob := 1.0
 	for _, eid := range edges {
-		prob *= g.Prob(eid)
+		prob *= c.Prob(eid)
 	}
 	return Path{Nodes: nodes, Edges: edges, Prob: prob}
 }

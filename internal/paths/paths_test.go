@@ -66,7 +66,7 @@ func TestMostReliableSimple(t *testing.T) {
 	g.MustAddEdge(0, 2, 0.99)
 	g.MustAddEdge(2, 3, 0.5)
 	g.MustAddEdge(0, 3, 0.7)
-	p, ok := MostReliable(g, 0, 3)
+	p, ok := MostReliable(g.Freeze(), 0, 3)
 	if !ok {
 		t.Fatal("no path found")
 	}
@@ -88,12 +88,12 @@ func TestMostReliableSimple(t *testing.T) {
 func TestMostReliableUnreachable(t *testing.T) {
 	g := ugraph.New(3, true)
 	g.MustAddEdge(0, 1, 0.5)
-	if _, ok := MostReliable(g, 0, 2); ok {
+	if _, ok := MostReliable(g.Freeze(), 0, 2); ok {
 		t.Fatal("found path to unreachable node")
 	}
 	// Zero-probability edges do not count as connectivity.
 	g.MustAddEdge(1, 2, 0)
-	if _, ok := MostReliable(g, 0, 2); ok {
+	if _, ok := MostReliable(g.Freeze(), 0, 2); ok {
 		t.Fatal("traversed zero-probability edge")
 	}
 }
@@ -106,7 +106,7 @@ func TestTopLMatchesBruteForce(t *testing.T) {
 		all := allSimplePaths(g, s, tt)
 		sort.Slice(all, func(i, j int) bool { return all[i].Prob > all[j].Prob })
 		for _, l := range []int{1, 3, 10} {
-			got := TopL(context.Background(), g, s, tt, l)
+			got := TopL(context.Background(), g.Freeze(), s, tt, l)
 			wantLen := l
 			if len(all) < l {
 				wantLen = len(all)
@@ -126,7 +126,7 @@ func TestTopLMatchesBruteForce(t *testing.T) {
 func TestTopLPathsAreSimpleAndOrdered(t *testing.T) {
 	r := rng.New(55)
 	g := randomGraph(r, 12, 30, false)
-	got := TopL(context.Background(), g, 0, 11, 20)
+	got := TopL(context.Background(), g.Freeze(), 0, 11, 20)
 	prev := math.Inf(1)
 	for _, p := range got {
 		if p.Prob > prev+1e-12 {
@@ -159,13 +159,13 @@ func TestTopLPathsAreSimpleAndOrdered(t *testing.T) {
 func TestTopLEdgeCases(t *testing.T) {
 	g := ugraph.New(3, true)
 	g.MustAddEdge(0, 1, 0.5)
-	if got := TopL(context.Background(), g, 0, 2, 5); got != nil {
+	if got := TopL(context.Background(), g.Freeze(), 0, 2, 5); got != nil {
 		t.Fatalf("unreachable target returned %v", got)
 	}
-	if got := TopL(context.Background(), g, 0, 1, 0); got != nil {
+	if got := TopL(context.Background(), g.Freeze(), 0, 1, 0); got != nil {
 		t.Fatalf("l=0 returned %v", got)
 	}
-	got := TopL(context.Background(), g, 0, 1, 5)
+	got := TopL(context.Background(), g.Freeze(), 0, 1, 5)
 	if len(got) != 1 || got[0].Prob != 0.5 {
 		t.Fatalf("single path graph: %v", got)
 	}
@@ -186,7 +186,7 @@ func TestMRPFigure3(t *testing.T) {
 		return []ugraph.Edge{{U: s, V: a, P: zeta}, {U: s, V: b, P: zeta}, {U: b, V: tt, P: zeta}}
 	}
 	// k=1, any (α, ζ): best single red edge is sA giving path prob α·ζ.
-	res := ImproveMostReliablePath(context.Background(), build(0.5), candidates(0.7), s, tt, 1)
+	res := ImproveMostReliablePath(context.Background(), build(0.5).Freeze(), candidates(0.7), s, tt, 1)
 	if res.BaseProb != 0 {
 		t.Fatalf("BaseProb = %v, want 0", res.BaseProb)
 	}
@@ -198,7 +198,7 @@ func TestMRPFigure3(t *testing.T) {
 	}
 	// k=2, α=0.5, ζ=0.7: path s-B-t with two red edges has prob 0.49 >
 	// 0.35, so MRP picks {sB, Bt}.
-	res = ImproveMostReliablePath(context.Background(), build(0.5), candidates(0.7), s, tt, 2)
+	res = ImproveMostReliablePath(context.Background(), build(0.5).Freeze(), candidates(0.7), s, tt, 2)
 	if math.Abs(res.Prob-0.49) > 1e-12 {
 		t.Fatalf("k=2 Prob = %v, want 0.49", res.Prob)
 	}
@@ -206,7 +206,7 @@ func TestMRPFigure3(t *testing.T) {
 		t.Fatalf("k=2 Chosen = %v", res.Chosen)
 	}
 	// k=2, α=0.9, ζ=0.5: single red path sA·At = 0.45 beats ζ² = 0.25.
-	res = ImproveMostReliablePath(context.Background(), build(0.9), candidates(0.5), s, tt, 2)
+	res = ImproveMostReliablePath(context.Background(), build(0.9).Freeze(), candidates(0.5), s, tt, 2)
 	if math.Abs(res.Prob-0.45) > 1e-12 {
 		t.Fatalf("α=0.9 Prob = %v, want 0.45", res.Prob)
 	}
@@ -219,7 +219,7 @@ func TestMRPNoImprovementNeeded(t *testing.T) {
 	g := ugraph.New(3, true)
 	g.MustAddEdge(0, 2, 0.95)
 	g.MustAddEdge(0, 1, 0.5)
-	res := ImproveMostReliablePath(context.Background(), g, []ugraph.Edge{{U: 1, V: 2, P: 0.5}}, 0, 2, 3)
+	res := ImproveMostReliablePath(context.Background(), g.Freeze(), []ugraph.Edge{{U: 1, V: 2, P: 0.5}}, 0, 2, 3)
 	if len(res.Chosen) != 0 {
 		t.Fatalf("Chosen = %v, want none (direct edge already best)", res.Chosen)
 	}
@@ -231,7 +231,7 @@ func TestMRPNoImprovementNeeded(t *testing.T) {
 func TestMRPUnreachableEvenWithCandidates(t *testing.T) {
 	g := ugraph.New(4, true)
 	g.MustAddEdge(0, 1, 0.5)
-	res := ImproveMostReliablePath(context.Background(), g, []ugraph.Edge{{U: 1, V: 2, P: 0.5}}, 0, 3, 2)
+	res := ImproveMostReliablePath(context.Background(), g.Freeze(), []ugraph.Edge{{U: 1, V: 2, P: 0.5}}, 0, 3, 2)
 	if res.Prob != 0 || len(res.Chosen) != 0 {
 		t.Fatalf("unexpected result %+v", res)
 	}
@@ -242,11 +242,11 @@ func TestMRPRespectsBudget(t *testing.T) {
 	// there is no path at all.
 	g := ugraph.New(4, true)
 	cand := []ugraph.Edge{{U: 0, V: 1, P: 0.9}, {U: 1, V: 2, P: 0.9}, {U: 2, V: 3, P: 0.9}}
-	res := ImproveMostReliablePath(context.Background(), g, cand, 0, 3, 2)
+	res := ImproveMostReliablePath(context.Background(), g.Freeze(), cand, 0, 3, 2)
 	if res.Prob != 0 {
 		t.Fatalf("budget 2 found prob %v over a 3-red-edge chain", res.Prob)
 	}
-	res = ImproveMostReliablePath(context.Background(), g, cand, 0, 3, 3)
+	res = ImproveMostReliablePath(context.Background(), g.Freeze(), cand, 0, 3, 3)
 	if math.Abs(res.Prob-0.729) > 1e-12 || len(res.Chosen) != 3 {
 		t.Fatalf("budget 3: %+v", res)
 	}
@@ -256,14 +256,14 @@ func TestMRPDirectedCandidateOrientation(t *testing.T) {
 	g := ugraph.New(3, true)
 	g.MustAddEdge(0, 1, 0.9)
 	// Candidate points the wrong way in a directed graph: unusable.
-	res := ImproveMostReliablePath(context.Background(), g, []ugraph.Edge{{U: 2, V: 1, P: 0.9}}, 0, 2, 1)
+	res := ImproveMostReliablePath(context.Background(), g.Freeze(), []ugraph.Edge{{U: 2, V: 1, P: 0.9}}, 0, 2, 1)
 	if res.Prob != 0 {
 		t.Fatalf("wrong-direction candidate used: %+v", res)
 	}
 	// Same candidate in an undirected graph is usable.
 	ug := ugraph.New(3, false)
 	ug.MustAddEdge(0, 1, 0.9)
-	res = ImproveMostReliablePath(context.Background(), ug, []ugraph.Edge{{U: 2, V: 1, P: 0.9}}, 0, 2, 1)
+	res = ImproveMostReliablePath(context.Background(), ug.Freeze(), []ugraph.Edge{{U: 2, V: 1, P: 0.9}}, 0, 2, 1)
 	if math.Abs(res.Prob-0.81) > 1e-12 {
 		t.Fatalf("undirected candidate: %+v", res)
 	}
@@ -306,11 +306,11 @@ func TestMRPMatchesBruteForce(t *testing.T) {
 			if len(chosen) > k {
 				continue
 			}
-			if p, ok := MostReliable(g.WithEdges(chosen), s, tt); ok && p.Prob > best {
+			if p, ok := MostReliable(g.WithEdges(chosen).Freeze(), s, tt); ok && p.Prob > best {
 				best = p.Prob
 			}
 		}
-		res := ImproveMostReliablePath(context.Background(), g, cands, s, tt, k)
+		res := ImproveMostReliablePath(context.Background(), g.Freeze(), cands, s, tt, k)
 		if math.Abs(res.Prob-best) > 1e-9 {
 			t.Fatalf("trial %d: layered %v, brute force %v", trial, res.Prob, best)
 		}

@@ -142,7 +142,7 @@ func TestParallelCancellationSkipsShards(t *testing.T) {
 		queries[i] = PairQuery{S: 0, T: ugraph.NodeID(256 + i)}
 	}
 	start := time.Now()
-	out := ps.EstimateMany(g, queries)
+	out := ps.EstimateMany(g.Freeze(), queries)
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("cancelled EstimateMany took %v", elapsed)
 	}

@@ -19,15 +19,15 @@ import (
 // goroutines race over them.
 const DefaultShards = 16
 
-// Factory constructs a fresh serial Sampler; the budget and seed handed to
+// Factory constructs a fresh serial sampler; the budget and seed handed to
 // it are placeholders, overwritten per shard via SetSampleSize and Reseed.
-// Factories returning a CSRSampler (all built-in ones do) let the pool run
-// entirely on frozen snapshots; other samplers fall back to the Graph path.
-type Factory func(z int, seed int64) Sampler
+// The pool runs entirely on frozen snapshots, so a factory builds a
+// CSRSampler (every built-in kind is one).
+type Factory func(z int, seed int64) CSRSampler
 
 // ParallelSampler runs a serial estimator's sample budget across a worker
-// pool. It is safe for concurrent use: every public call freezes the graph
-// once (a cached CSR snapshot), atomically claims a call index (which
+// pool. It is safe for concurrent use: every public call runs on one frozen
+// CSR snapshot (the Graph-taking methods freeze once), atomically claims a call index (which
 // decorrelates successive calls, mirroring the advancing RNG state of a
 // serial sampler), takes per-worker serial samplers from an internal pool,
 // and merges per-shard results in a fixed order. For a given seed the i-th
@@ -58,13 +58,13 @@ type ParallelSampler struct {
 func factoryFor(kind string) (Factory, error) {
 	switch kind {
 	case "mc":
-		return func(z int, seed int64) Sampler { return NewMonteCarlo(z, seed) }, nil
+		return func(z int, seed int64) CSRSampler { return NewMonteCarlo(z, seed) }, nil
 	case "rss":
-		return func(z int, seed int64) Sampler { return NewRSS(z, seed) }, nil
+		return func(z int, seed int64) CSRSampler { return NewRSS(z, seed) }, nil
 	case "lazy":
-		return func(z int, seed int64) Sampler { return NewLazy(z, seed) }, nil
+		return func(z int, seed int64) CSRSampler { return NewLazy(z, seed) }, nil
 	case "mcvec":
-		return func(z int, seed int64) Sampler { return NewMCVec(z, seed) }, nil
+		return func(z int, seed int64) CSRSampler { return NewMCVec(z, seed) }, nil
 	default:
 		return nil, fmt.Errorf("sampling: unknown sampler %q (want mc, rss, lazy or mcvec)", kind)
 	}
@@ -89,7 +89,7 @@ type budgetQuantizer interface {
 // quantumOf probes a factory for the estimator's budget quantum (1 for the
 // scalar samplers). The probe sampler is returned to the caller for pool
 // seeding so the construction-time allocation is not wasted.
-func quantumOf(factory Factory) (int, Sampler) {
+func quantumOf(factory Factory) (int, CSRSampler) {
 	probe := factory(1, 0)
 	if q, ok := probe.(budgetQuantizer); ok {
 		return q.budgetQuantum(), probe
@@ -101,7 +101,7 @@ func quantumOf(factory Factory) (int, Sampler) {
 // "lazy" or "mcvec") — the single-goroutine counterpart of NewParallel. On
 // error the returned interface is nil (never a typed-nil concrete pointer),
 // so `smp == nil` is a valid failure check.
-func NewSerial(kind string, z int, seed int64) (Sampler, error) {
+func NewSerial(kind string, z int, seed int64) (CSRSampler, error) {
 	factory, err := factoryFor(kind)
 	if err != nil {
 		return nil, err
@@ -222,7 +222,7 @@ func (ps *ParallelSampler) nextCallSeed() int64 {
 // never leaks into results. When the bound context fires, remaining work
 // items are skipped: the merged result is garbage, and the caller is
 // expected to discard it after observing ctx.Err().
-func (ps *ParallelSampler) fanOut(n int, fn func(smp Sampler, i int)) {
+func (ps *ParallelSampler) fanOut(n int, fn func(smp CSRSampler, i int)) {
 	w := ps.workers
 	if w > n {
 		w = n
@@ -260,14 +260,14 @@ func (ps *ParallelSampler) fanOut(n int, fn func(smp Sampler, i int)) {
 
 // lease takes a serial sampler from the pool and binds the current context
 // so its sample loops abort promptly on cancellation.
-func (ps *ParallelSampler) lease() Sampler {
-	smp := ps.pool.Get().(Sampler)
+func (ps *ParallelSampler) lease() CSRSampler {
+	smp := ps.pool.Get().(CSRSampler)
 	smp.SetContext(ps.ctx)
 	return smp
 }
 
 // release unbinds the context and returns the sampler to the pool.
-func (ps *ParallelSampler) release(smp Sampler) {
+func (ps *ParallelSampler) release(smp CSRSampler) {
 	smp.SetContext(nil)
 	ps.pool.Put(smp)
 }
@@ -341,105 +341,71 @@ func (ps *ParallelSampler) shardBudgetsFor(z, items int) []int {
 	return out
 }
 
-// shardReliability runs one shard's conditioned estimate on the snapshot,
-// falling back to a Graph-path call for non-CSR factories. g is nil when
-// the public call entered through a snapshot-level CSRSampler method — no
-// Graph exists to fall back to, so a non-CSR factory is a contract
-// violation reported as an explicit panic rather than a nil dereference
-// deep inside the sampler.
-func shardReliability(smp Sampler, c *ugraph.CSR, g *ugraph.Graph, s, t ugraph.NodeID) float64 {
-	if cs, ok := smp.(CSRSampler); ok {
-		return cs.ReliabilityCSR(c, s, t)
-	}
-	if g == nil {
-		panic("sampling: snapshot-level ParallelSampler calls require the factory's sampler to implement CSRSampler")
-	}
-	return smp.Reliability(g, s, t)
-}
-
 // Reliability implements Sampler: shard i estimates with budget z_i on the
 // stream Split(callSeed, i), and the estimates combine as the
 // budget-weighted mean Σ (z_i/Z)·est_i — for MC exactly the pooled
 // hit fraction, for RSS/Lazy an equally weighted mixture of independent
 // unbiased estimates.
 func (ps *ParallelSampler) Reliability(g *ugraph.Graph, s, t ugraph.NodeID) float64 {
-	if s == t {
-		return 1
-	}
-	return ps.reliabilityCSR(g.Freeze(), g, s, t)
+	return ps.ReliabilityCSR(g.Freeze(), s, t)
 }
 
-// ReliabilityCSR implements CSRSampler on an already-frozen snapshot (or a
-// WithEdges overlay). Non-CSR factory samplers cannot be driven from a bare
-// snapshot, so this entry point requires a CSR-capable factory; the
-// built-in mc/rss/lazy kinds all are.
+// ReliabilityCSR implements CSRSampler on a frozen snapshot (flat, layered
+// or a WithEdges overlay).
 func (ps *ParallelSampler) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 {
 	if s == t {
 		return 1
 	}
-	return ps.reliabilityCSR(c, nil, s, t)
-}
-
-func (ps *ParallelSampler) reliabilityCSR(c *ugraph.CSR, g *ugraph.Graph, s, t ugraph.NodeID) float64 {
 	z := ps.SampleSize()
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgets(z)
 	est := make([]float64, len(budgets))
-	ps.fanOut(len(budgets), func(smp Sampler, i int) {
+	ps.fanOut(len(budgets), func(smp CSRSampler, i int) {
 		smp.Reseed(rng.SplitSeed(callSeed, int64(i)))
 		smp.SetSampleSize(budgets[i])
-		est[i] = shardReliability(smp, c, g, s, t)
+		est[i] = smp.ReliabilityCSR(c, s, t)
 	})
 	return mergeScalar(est, budgets)
 }
 
 // ReliabilityFrom implements Sampler.
 func (ps *ParallelSampler) ReliabilityFrom(g *ugraph.Graph, s ugraph.NodeID) []float64 {
-	return ps.vector(g.Freeze(), g, s, true)
+	return ps.vector(g.Freeze(), s, true)
 }
 
 // ReliabilityTo implements Sampler.
 func (ps *ParallelSampler) ReliabilityTo(g *ugraph.Graph, t ugraph.NodeID) []float64 {
-	return ps.vector(g.Freeze(), g, t, false)
+	return ps.vector(g.Freeze(), t, false)
 }
 
 // ReliabilityFromCSR implements CSRSampler.
 func (ps *ParallelSampler) ReliabilityFromCSR(c *ugraph.CSR, s ugraph.NodeID) []float64 {
-	return ps.vector(c, nil, s, true)
+	return ps.vector(c, s, true)
 }
 
 // ReliabilityToCSR implements CSRSampler.
 func (ps *ParallelSampler) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64 {
-	return ps.vector(c, nil, t, false)
+	return ps.vector(c, t, false)
 }
 
-func (ps *ParallelSampler) vector(c *ugraph.CSR, g *ugraph.Graph, src ugraph.NodeID, forward bool) []float64 {
+func (ps *ParallelSampler) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool) []float64 {
 	z := ps.SampleSize()
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgets(z)
 	vecs := make([][]float64, len(budgets))
-	ps.fanOut(len(budgets), func(smp Sampler, i int) {
+	ps.fanOut(len(budgets), func(smp CSRSampler, i int) {
 		smp.Reseed(rng.SplitSeed(callSeed, int64(i)))
 		smp.SetSampleSize(budgets[i])
-		vecs[i] = shardVector(smp, c, g, src, forward)
+		vecs[i] = shardVector(smp, c, src, forward)
 	})
 	return mergeVectors(vecs, budgets, c.N())
 }
 
-func shardVector(smp Sampler, c *ugraph.CSR, g *ugraph.Graph, src ugraph.NodeID, forward bool) []float64 {
-	if cs, ok := smp.(CSRSampler); ok {
-		if forward {
-			return cs.ReliabilityFromCSR(c, src)
-		}
-		return cs.ReliabilityToCSR(c, src)
-	}
-	if g == nil {
-		panic("sampling: snapshot-level ParallelSampler calls require the factory's sampler to implement CSRSampler")
-	}
+func shardVector(smp CSRSampler, c *ugraph.CSR, src ugraph.NodeID, forward bool) []float64 {
 	if forward {
-		return smp.ReliabilityFrom(g, src)
+		return smp.ReliabilityFromCSR(c, src)
 	}
-	return smp.ReliabilityTo(g, src)
+	return smp.ReliabilityToCSR(c, src)
 }
 
 // mergeScalar folds per-shard estimates as Σ(b_i·e_i)/z in shard order;
@@ -488,33 +454,16 @@ func mergeVectors(vecs [][]float64, budgets []int, n int) []float64 {
 // at any worker count; the streams are keyed on the (query, shard) pair,
 // so results are statistically equivalent but not bit-identical to
 // one-at-a-time Reliability calls.
-func (ps *ParallelSampler) EstimateMany(g *ugraph.Graph, queries []PairQuery) []float64 {
+func (ps *ParallelSampler) EstimateMany(c *ugraph.CSR, queries []PairQuery) []float64 {
 	if len(queries) == 0 {
 		return nil
 	}
-	return ps.estimateManyCSR(g.Freeze(), g, queries)
-}
-
-// EstimateManyCSR is EstimateMany on an already-frozen snapshot (flat or
-// layered): the serving tier's batch path runs directly on the pinned
-// epoch's CSR without materializing a mutable Graph. Like the other
-// snapshot-level entry points it requires a CSR-capable factory (the
-// built-in kinds all are). Results are bit-identical to EstimateMany over a
-// graph that freezes to the same logical snapshot.
-func (ps *ParallelSampler) EstimateManyCSR(c *ugraph.CSR, queries []PairQuery) []float64 {
-	if len(queries) == 0 {
-		return nil
-	}
-	return ps.estimateManyCSR(c, nil, queries)
-}
-
-func (ps *ParallelSampler) estimateManyCSR(c *ugraph.CSR, g *ugraph.Graph, queries []PairQuery) []float64 {
 	z := ps.SampleSize()
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgetsFor(z, len(queries))
 	shards := len(budgets)
 	est := make([]float64, len(queries)*shards)
-	ps.fanOut(len(est), func(smp Sampler, k int) {
+	ps.fanOut(len(est), func(smp CSRSampler, k int) {
 		qi, si := k/shards, k%shards
 		q := queries[qi]
 		if q.S == q.T {
@@ -523,7 +472,7 @@ func (ps *ParallelSampler) estimateManyCSR(c *ugraph.CSR, g *ugraph.Graph, queri
 		}
 		smp.Reseed(rng.SplitSeed(rng.SplitSeed(callSeed, int64(qi)), int64(si)))
 		smp.SetSampleSize(budgets[si])
-		est[k] = shardReliability(smp, c, g, q.S, q.T)
+		est[k] = smp.ReliabilityCSR(c, q.S, q.T)
 	})
 	out := make([]float64, len(queries))
 	for qi := range queries {
@@ -532,13 +481,12 @@ func (ps *ParallelSampler) estimateManyCSR(c *ugraph.CSR, g *ugraph.Graph, queri
 	return out
 }
 
-// EstimateEdges implements BatchSampler: the base graph is frozen once,
-// candidate edge e is evaluated on a lightweight CSR overlay (no per-
-// candidate clone or snapshot rebuild), and — like EstimateMany — the
-// fan-out covers the (candidate, shard) product so small candidate sets
-// still saturate the pool. This is the batched form of the hill-climbing /
-// individual-top-k inner loop.
-func (ps *ParallelSampler) EstimateEdges(g *ugraph.Graph, s, t ugraph.NodeID, edges []ugraph.Edge) []float64 {
+// EstimateEdges implements BatchSampler: candidate edge e is evaluated on a
+// lightweight overlay of c (no per-candidate clone or snapshot rebuild),
+// and — like EstimateMany — the fan-out covers the (candidate, shard)
+// product so small candidate sets still saturate the pool. This is the
+// batched form of the hill-climbing / individual-top-k inner loop.
+func (ps *ParallelSampler) EstimateEdges(c *ugraph.CSR, s, t ugraph.NodeID, edges []ugraph.Edge) []float64 {
 	if len(edges) == 0 {
 		return nil
 	}
@@ -546,21 +494,16 @@ func (ps *ParallelSampler) EstimateEdges(g *ugraph.Graph, s, t ugraph.NodeID, ed
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgetsFor(z, len(edges))
 	shards := len(budgets)
-	base := g.Freeze()
 	views := make([]*ugraph.CSR, len(edges))
 	for i := range edges {
-		views[i] = base.WithEdges(edges[i : i+1])
+		views[i] = c.WithEdges(edges[i : i+1])
 	}
 	est := make([]float64, len(edges)*shards)
-	ps.fanOut(len(est), func(smp Sampler, k int) {
+	ps.fanOut(len(est), func(smp CSRSampler, k int) {
 		ei, si := k/shards, k%shards
 		smp.Reseed(rng.SplitSeed(rng.SplitSeed(callSeed, int64(ei)), int64(si)))
 		smp.SetSampleSize(budgets[si])
-		if cs, ok := smp.(CSRSampler); ok {
-			est[k] = cs.ReliabilityCSR(views[ei], s, t)
-		} else {
-			est[k] = smp.Reliability(g.WithEdges(edges[ei:ei+1]), s, t)
-		}
+		est[k] = smp.ReliabilityCSR(views[ei], s, t)
 	})
 	out := make([]float64, len(edges))
 	for ei := range edges {
@@ -570,13 +513,13 @@ func (ps *ParallelSampler) EstimateEdges(g *ugraph.Graph, s, t ugraph.NodeID, ed
 }
 
 // ReliabilityFromMany implements BatchSampler.
-func (ps *ParallelSampler) ReliabilityFromMany(g *ugraph.Graph, sources []ugraph.NodeID) [][]float64 {
-	return ps.vectorMany(g, sources, true)
+func (ps *ParallelSampler) ReliabilityFromMany(c *ugraph.CSR, sources []ugraph.NodeID) [][]float64 {
+	return ps.vectorMany(c, sources, true)
 }
 
 // ReliabilityToMany implements BatchSampler.
-func (ps *ParallelSampler) ReliabilityToMany(g *ugraph.Graph, targets []ugraph.NodeID) [][]float64 {
-	return ps.vectorMany(g, targets, false)
+func (ps *ParallelSampler) ReliabilityToMany(c *ugraph.CSR, targets []ugraph.NodeID) [][]float64 {
+	return ps.vectorMany(c, targets, false)
 }
 
 // vectorMany fans out over the (node, shard) product rather than just the
@@ -586,18 +529,17 @@ func (ps *ParallelSampler) ReliabilityToMany(g *ugraph.Graph, targets []ugraph.N
 // pool sizes. The streams differ from the single-node vector() path
 // (which keys on shard only), so batched results are statistically
 // equivalent but not bit-identical to per-node calls.
-func (ps *ParallelSampler) vectorMany(g *ugraph.Graph, nodes []ugraph.NodeID, forward bool) [][]float64 {
+func (ps *ParallelSampler) vectorMany(c *ugraph.CSR, nodes []ugraph.NodeID, forward bool) [][]float64 {
 	z := ps.SampleSize()
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgetsFor(z, len(nodes))
 	shards := len(budgets)
-	c := g.Freeze()
 	vecs := make([][]float64, len(nodes)*shards)
-	ps.fanOut(len(vecs), func(smp Sampler, k int) {
+	ps.fanOut(len(vecs), func(smp CSRSampler, k int) {
 		n, i := k/shards, k%shards
 		smp.Reseed(rng.SplitSeed(rng.SplitSeed(callSeed, int64(n)), int64(i)))
 		smp.SetSampleSize(budgets[i])
-		vecs[k] = shardVector(smp, c, g, nodes[n], forward)
+		vecs[k] = shardVector(smp, c, nodes[n], forward)
 	})
 	out := make([][]float64, len(nodes))
 	for n := range nodes {
@@ -610,25 +552,25 @@ func (ps *ParallelSampler) vectorMany(g *ugraph.Graph, nodes []ugraph.NodeID, fo
 // is a BatchSampler, otherwise a serial loop in node order (preserving
 // the exact RNG call sequence a plain sampler would produce). The shared
 // fallback for candidate elimination and pair-reliability matrices.
-func FromMany(smp Sampler, g *ugraph.Graph, nodes []ugraph.NodeID) [][]float64 {
+func FromMany(smp CSRSampler, c *ugraph.CSR, nodes []ugraph.NodeID) [][]float64 {
 	if bs, ok := smp.(BatchSampler); ok {
-		return bs.ReliabilityFromMany(g, nodes)
+		return bs.ReliabilityFromMany(c, nodes)
 	}
 	out := make([][]float64, len(nodes))
 	for i, v := range nodes {
-		out[i] = smp.ReliabilityFrom(g, v)
+		out[i] = smp.ReliabilityFromCSR(c, v)
 	}
 	return out
 }
 
 // ToMany is FromMany's reverse-direction counterpart.
-func ToMany(smp Sampler, g *ugraph.Graph, nodes []ugraph.NodeID) [][]float64 {
+func ToMany(smp CSRSampler, c *ugraph.CSR, nodes []ugraph.NodeID) [][]float64 {
 	if bs, ok := smp.(BatchSampler); ok {
-		return bs.ReliabilityToMany(g, nodes)
+		return bs.ReliabilityToMany(c, nodes)
 	}
 	out := make([][]float64, len(nodes))
 	for i, v := range nodes {
-		out[i] = smp.ReliabilityTo(g, v)
+		out[i] = smp.ReliabilityToCSR(c, v)
 	}
 	return out
 }

@@ -45,13 +45,13 @@ func TestParallelDeterministicAcrossWorkers(t *testing.T) {
 				if a, b := base.ReliabilityTo(g, tt), ps.ReliabilityTo(g, tt); !equalVec(a, b) {
 					t.Fatalf("%s round %d: ReliabilityTo differs at %d workers", kind, round, workers)
 				}
-				if a, b := base.EstimateMany(g, queries), ps.EstimateMany(g, queries); !equalVec(a, b) {
+				if a, b := base.EstimateMany(g.Freeze(), queries), ps.EstimateMany(g.Freeze(), queries); !equalVec(a, b) {
 					t.Fatalf("%s round %d: EstimateMany differs at %d workers", kind, round, workers)
 				}
-				if a, b := base.EstimateEdges(g, s, tt, cands), ps.EstimateEdges(g, s, tt, cands); !equalVec(a, b) {
+				if a, b := base.EstimateEdges(g.Freeze(), s, tt, cands), ps.EstimateEdges(g.Freeze(), s, tt, cands); !equalVec(a, b) {
 					t.Fatalf("%s round %d: EstimateEdges differs at %d workers", kind, round, workers)
 				}
-				if a, b := base.ReliabilityFromMany(g, []ugraph.NodeID{s, 1}), ps.ReliabilityFromMany(g, []ugraph.NodeID{s, 1}); !equalMat(a, b) {
+				if a, b := base.ReliabilityFromMany(g.Freeze(), []ugraph.NodeID{s, 1}), ps.ReliabilityFromMany(g.Freeze(), []ugraph.NodeID{s, 1}); !equalMat(a, b) {
 					t.Fatalf("%s round %d: ReliabilityFromMany differs at %d workers", kind, round, workers)
 				}
 			}
@@ -113,11 +113,11 @@ func TestParallelVectorMatchesScalar(t *testing.T) {
 	g := randomSmallGraph(r, true)
 	ps := newParallelT(t, "mc", 1663, 5, 4)
 	sources := []ugraph.NodeID{0, 1}
-	fromMany := ps.ReliabilityFromMany(g, sources)
+	fromMany := ps.ReliabilityFromMany(g.Freeze(), sources)
 	if len(fromMany) != len(sources) {
 		t.Fatalf("ReliabilityFromMany returned %d rows, want %d", len(fromMany), len(sources))
 	}
-	toMany := ps.ReliabilityToMany(g, sources)
+	toMany := ps.ReliabilityToMany(g.Freeze(), sources)
 	for i, s := range sources {
 		if fromMany[i][s] != 1 {
 			t.Errorf("fromMany[%d][%d] = %v, want 1", i, s, fromMany[i][s])
@@ -195,9 +195,9 @@ func TestParallelStress(t *testing.T) {
 				case 1:
 					ps.ReliabilityFrom(g, s)
 				case 2:
-					ps.EstimateMany(g, queries)
+					ps.EstimateMany(g.Freeze(), queries)
 				case 3:
-					ps.EstimateEdges(g, s, tt, []ugraph.Edge{{U: 1, V: 3, P: 0.4}})
+					ps.EstimateEdges(g.Freeze(), s, tt, []ugraph.Edge{{U: 1, V: 3, P: 0.4}})
 				}
 				if i == 10 {
 					ps.Reseed(int64(k)) // must be race-free against in-flight estimates

@@ -24,14 +24,15 @@
 //
 // # Snapshots
 //
-// All estimators run their inner loops on a frozen ugraph.CSR snapshot —
-// a flat, immutable, cache-friendly view of the graph. The Graph-taking
-// Sampler methods are thin wrappers that call Graph.Freeze (cached on the
-// graph, rebuilt only after a mutation) and delegate to the CSR-taking
-// methods of CSRSampler. Hot callers that evaluate many candidate edges
-// against one base graph freeze once and use CSR.WithEdges overlays, so no
-// snapshot is rebuilt per candidate. Estimates on a CSR are bit-identical
-// to estimates on the Graph it was frozen from at the same seed: freezing
+// All estimators run on a frozen ugraph.CSR snapshot — a flat, immutable,
+// cache-friendly view of the graph, a delta epoch layered over one, or a
+// CSR.WithEdges overlay. Every built-in sampler is a CSRSampler, and the
+// solvers, the batch interface and the serving tier call only the
+// CSR-taking methods. The Graph-taking Sampler methods remain as thin
+// public wrappers that call Graph.Freeze (cached on the graph, rebuilt only
+// after a mutation). Estimates on a CSR are bit-identical to estimates on
+// the Graph it was frozen from at the same seed, and estimates on a delta
+// or overlay view are bit-identical to those on its flat rebuild: each
 // preserves arc order, so the samplers consume randomness identically.
 //
 // # Concurrency
@@ -41,8 +42,8 @@
 // construction seed but are NOT safe for concurrent use: they reuse
 // internal scratch buffers (epoch-stamped visited/edge-state arrays, BFS
 // queue, RSS conditioning stack) across calls. ParallelSampler wraps any
-// of them into a goroutine-safe estimator that freezes the graph once per
-// call, shards the sample budget across a worker pool and merges the shard
+// of them into a goroutine-safe estimator that runs each call on one
+// snapshot, shards the sample budget across a worker pool and merges the shard
 // estimates deterministically, so a fixed seed yields bit-identical results
 // regardless of the worker count or GOMAXPROCS. Batched evaluation of many
 // queries, candidate edges or source/target vectors at once goes through
@@ -121,30 +122,31 @@ type PairQuery struct {
 }
 
 // BatchSampler is the optional batched-evaluation interface implemented by
-// ParallelSampler. Callers holding a plain Sampler can type-assert to it
-// and fall back to one-at-a-time loops otherwise; the core solvers do
-// exactly that in their hot paths (candidate elimination, greedy candidate
-// scoring, pair-reliability matrices).
+// ParallelSampler. Every method runs on a frozen snapshot — flat, layered
+// or a WithEdges overlay. Callers holding a plain CSRSampler can
+// type-assert to it and fall back to one-at-a-time loops otherwise; the
+// core solvers do exactly that in their hot paths (candidate elimination,
+// greedy candidate scoring, pair-reliability matrices).
 type BatchSampler interface {
-	Sampler
-	// EstimateMany estimates R(q.S, q.T, G) for every query, each with
+	CSRSampler
+	// EstimateMany estimates R(q.S, q.T) on c for every query, each with
 	// the full sample budget Z sharded across the pool (so even a
 	// one-query batch keeps every worker busy). Result i is deterministic
 	// in (seed, i) regardless of scheduling.
-	EstimateMany(g *ugraph.Graph, queries []PairQuery) []float64
-	// EstimateEdges estimates R(s, t, G ∪ {e}) for each candidate edge e
+	EstimateMany(c *ugraph.CSR, queries []PairQuery) []float64
+	// EstimateEdges estimates R(s, t, c ∪ {e}) for each candidate edge e
 	// in isolation — the inner loop of the greedy and top-k baselines.
-	// The graph is frozen once and each candidate is evaluated on a
-	// lightweight CSR overlay, budget-sharded like EstimateMany.
-	EstimateEdges(g *ugraph.Graph, s, t ugraph.NodeID, edges []ugraph.Edge) []float64
+	// Each candidate is evaluated on a lightweight overlay of c,
+	// budget-sharded like EstimateMany.
+	EstimateEdges(c *ugraph.CSR, s, t ugraph.NodeID, edges []ugraph.Edge) []float64
 	// ReliabilityFromMany estimates one ReliabilityFrom vector per
 	// source. Statistically equivalent to per-source calls but drawn
 	// from different deterministic streams (keyed on the source's batch
 	// index), so values are not bit-identical to ReliabilityFrom.
-	ReliabilityFromMany(g *ugraph.Graph, sources []ugraph.NodeID) [][]float64
+	ReliabilityFromMany(c *ugraph.CSR, sources []ugraph.NodeID) [][]float64
 	// ReliabilityToMany is ReliabilityFromMany's reverse-direction
 	// counterpart.
-	ReliabilityToMany(g *ugraph.Graph, targets []ugraph.NodeID) [][]float64
+	ReliabilityToMany(c *ugraph.CSR, targets []ugraph.NodeID) [][]float64
 }
 
 // scratch holds reusable per-snapshot working memory shared by the

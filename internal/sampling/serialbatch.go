@@ -48,7 +48,7 @@ func EstimateManySerial(ctx context.Context, ss *SharedScratch, c *ugraph.CSR, q
 		}
 	}
 	out := make([]float64, len(queries))
-	estimate := func(smp Sampler, i int) {
+	estimate := func(smp CSRSampler, i int) {
 		q := queries[i]
 		if q.S == q.T {
 			out[i] = 1
@@ -56,10 +56,7 @@ func EstimateManySerial(ctx context.Context, ss *SharedScratch, c *ugraph.CSR, q
 		}
 		smp.Reseed(rng.SplitSeed(seed, int64(i)))
 		smp.SetSampleSize(z)
-		// Every built-in serial sampler is a CSRSampler; SharedScratch only
-		// pools built-in kinds, so the assertion cannot fail for pool-built
-		// samplers.
-		out[i] = smp.(CSRSampler).ReliabilityCSR(c, q.S, q.T)
+		out[i] = smp.ReliabilityCSR(c, q.S, q.T)
 	}
 	if workers <= 1 {
 		smp := ss.lease(ctx)
@@ -95,14 +92,14 @@ func EstimateManySerial(ctx context.Context, ss *SharedScratch, c *ugraph.CSR, q
 
 // lease takes a serial sampler from the warm pool and binds ctx so its
 // sample loops abort promptly on cancellation.
-func (ss *SharedScratch) lease(ctx context.Context) Sampler {
-	smp := ss.pool.Get().(Sampler)
+func (ss *SharedScratch) lease(ctx context.Context) CSRSampler {
+	smp := ss.pool.Get().(CSRSampler)
 	smp.SetContext(ctx)
 	return smp
 }
 
 // release unbinds the context and returns the sampler to the pool.
-func (ss *SharedScratch) release(smp Sampler) {
+func (ss *SharedScratch) release(smp CSRSampler) {
 	smp.SetContext(nil)
 	ss.pool.Put(smp)
 }

@@ -7,8 +7,9 @@ import "fmt"
 // int32 offsets, so the samplers' BFS inner loops walk sequential memory
 // instead of chasing per-node slice headers. A CSR is immutable — every
 // method is safe for concurrent use by any number of goroutines — and is
-// obtained either from Graph.Freeze (a cached full snapshot) or from
-// CSR.WithEdges (a lightweight overlay view sharing the base arrays).
+// obtained from Graph.Freeze (a cached full snapshot), CSR.Delta (a
+// persistent epoch layered over a snapshot) or CSR.WithEdges (a
+// lightweight overlay view sharing the base arrays).
 //
 // Arc order is preserved exactly from the source Graph (insertion order per
 // node, overlay arcs after base arcs), so a sampler consuming randomness
@@ -412,11 +413,13 @@ func groupArcs(from []NodeID, arc []Arc) ([]NodeID, []int32, []Arc) {
 	return nodes, off, out
 }
 
-// HopDistances runs a BFS over the frozen topology (including overlay arcs)
-// from src following out-arcs, ignoring probabilities, and returns hop
-// counts (-1 for unreachable nodes). maxHops < 0 means unbounded. It
-// mirrors Graph.HopDistances node for node.
-func (c *CSR) HopDistances(src NodeID, maxHops int) []int32 {
+// HopDistances runs a BFS from src over the snapshot's topology — base,
+// delta and overlay arcs alike — ignoring probabilities, and returns hop
+// counts (-1 for unreachable nodes). maxHops < 0 means unbounded. The walk
+// follows out-arcs; with ignoreDirection it follows in-arcs too, the
+// "endpoints at most h hops apart" rule of candidate generation (the two
+// coincide on undirected graphs).
+func (c *CSR) HopDistances(src NodeID, maxHops int, ignoreDirection bool) []int32 {
 	dist := make([]int32, c.n)
 	for i := range dist {
 		dist[i] = -1
@@ -424,29 +427,44 @@ func (c *CSR) HopDistances(src NodeID, maxHops int) []int32 {
 	dist[src] = 0
 	queue := make([]NodeID, 0, c.n)
 	queue = append(queue, src)
-	hasX := c.HasOverlay()
+	both := ignoreDirection && c.directed
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		if maxHops >= 0 && int(dist[u]) >= maxHops {
 			continue
 		}
-		arcs := c.Out(u)
-		var extra []Arc
-		if hasX {
-			extra = c.OutOverlay(u)
+		rows := [4][]Arc{c.Out(u), c.OutOverlay(u)}
+		if both {
+			rows[2], rows[3] = c.In(u), c.InOverlay(u)
 		}
-		for {
+		for _, arcs := range rows {
 			for _, a := range arcs {
 				if dist[a.To] < 0 {
 					dist[a.To] = dist[u] + 1
 					queue = append(queue, a.To)
 				}
 			}
-			if len(extra) == 0 {
-				break
-			}
-			arcs, extra = extra, nil
 		}
 	}
 	return dist
+}
+
+// Diameter returns the longest finite shortest-path hop distance (following
+// out-arcs) over a sample of sources (all nodes if sample <= 0 or >= N). It
+// is used by the dataset validators and by the h = diameter equivalence
+// remark in §2.1.
+func (c *CSR) Diameter(sample int) int {
+	step := 1
+	if sample > 0 && sample < c.n {
+		step = c.n / sample
+	}
+	best := 0
+	for u := 0; u < c.n; u += step {
+		for _, d := range c.HopDistances(NodeID(u), -1, false) {
+			if int(d) > best {
+				best = int(d)
+			}
+		}
+	}
+	return best
 }

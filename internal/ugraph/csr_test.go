@@ -99,15 +99,48 @@ func assertCSRMatchesGraph(t *testing.T, c *CSR, g *Graph) {
 	}
 	for src := 0; src < g.N(); src += 1 + g.N()/4 {
 		for _, maxHops := range []int{-1, 0, 1, 2} {
-			cd := c.HopDistances(NodeID(src), maxHops)
-			gd := g.HopDistances(NodeID(src), maxHops)
-			for v := range cd {
-				if cd[v] != gd[v] {
-					t.Fatalf("HopDistances(%d,%d)[%d]: CSR %d vs Graph %d", src, maxHops, v, cd[v], gd[v])
+			for _, both := range []bool{false, true} {
+				cd := c.HopDistances(NodeID(src), maxHops, both)
+				gd := graphHops(g, NodeID(src), maxHops, both)
+				for v := range cd {
+					if cd[v] != gd[v] {
+						t.Fatalf("HopDistances(%d,%d,%v)[%d]: CSR %d vs Graph %d", src, maxHops, both, v, cd[v], gd[v])
+					}
 				}
 			}
 		}
 	}
+}
+
+// graphHops is the oracle for CSR.HopDistances: a BFS over the mutable
+// Graph's adjacency rows (in-rows too when ignoring direction).
+func graphHops(g *Graph, src NodeID, maxHops int, ignoreDirection bool) []int32 {
+	dist := make([]int32, g.N())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []NodeID{src}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		if maxHops >= 0 && int(dist[u]) >= maxHops {
+			continue
+		}
+		rows := [][]Arc{g.Out(u)}
+		if ignoreDirection {
+			rows = append(rows, g.In(u))
+		}
+		for _, row := range rows {
+			for _, a := range row {
+				if dist[a.To] < 0 {
+					dist[a.To] = dist[u] + 1
+					queue = append(queue, a.To)
+				}
+			}
+		}
+	}
+	return dist
 }
 
 // TestCSRMatchesGraph is the topology half of the differential suite: for

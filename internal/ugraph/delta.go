@@ -483,23 +483,24 @@ func (c *CSR) addBase() int {
 	return len(c.p)
 }
 
-// Edges returns the snapshot's logical edge set in canonical order —
-// surviving base edges in base-ID order (re-probed values applied), then
-// surviving adds in commit order — excluding WithEdges overlay extras.
-// This is the order a checkpoint serializes and a rebuild replays, so two
-// snapshots of the same logical epoch return identical slices whether flat
-// or layered.
+// Edges returns every edge of the snapshot in edge-ID order: surviving
+// base edges (re-probed values applied), then surviving delta adds in
+// commit order, then WithEdges overlay extras. This is the order a
+// checkpoint serializes and a rebuild replays, so two snapshots of the
+// same logical epoch return identical slices whether flat or layered, and
+// rebuilding a Graph from it reproduces the snapshot's adjacency rows arc
+// for arc.
 func (c *CSR) Edges() []Edge {
 	if c.d == nil {
-		out := make([]Edge, len(c.ends))
+		out := make([]Edge, len(c.ends), len(c.ends)+len(c.xends))
 		copy(out, c.ends)
 		for i := range out {
 			out[i].P = c.p[i]
 		}
-		return out
+		return append(out, c.xends...)
 	}
 	d := c.d
-	out := make([]Edge, 0, d.m)
+	out := make([]Edge, 0, d.m+len(c.xends))
 	for eid := int32(0); eid < d.idBase; eid++ {
 		if _, rm := d.removed.get(eid); rm {
 			continue
@@ -517,7 +518,7 @@ func (c *CSR) Edges() []Edge {
 			out = append(out, e)
 		}
 	}
-	return out
+	return append(out, c.xends...)
 }
 
 // i32map is a small open-addressing int32 -> int32 map (linear probing,

@@ -344,7 +344,7 @@ func TestDeltaWithEdgesOverlay(t *testing.T) {
 		t.Fatalf("delta add lost in overlay view")
 	}
 	// Walking the view must see base + delta + overlay arcs.
-	dist := view.HopDistances(0, -1)
+	dist := view.HopDistances(0, -1, false)
 	for v, d := range dist {
 		if d < 0 {
 			t.Fatalf("node %d unreachable in overlay view", v)

@@ -8,13 +8,14 @@
 // (tractable for small graphs; used by tests and by the exact-solution
 // competitor of Table 11), and plain-text edge-list I/O.
 //
-// Two representations coexist. The mutable Graph (slice-of-slices
-// adjacency) serves construction and solver edge-insertion; Freeze
-// produces an immutable CSR snapshot — flat arc arrays with arc-aligned
-// probabilities — that the sampling hot loops traverse. The snapshot is
-// cached per graph version and shared by all readers; CSR.WithEdges
-// derives cheap overlay views for candidate evaluation. See the CSR type
-// for the lifecycle and concurrency contract.
+// The mutable Graph (slice-of-slices adjacency) is only the builder:
+// datasets, generators, I/O and recovery construct one, and Freeze turns it
+// into an immutable CSR snapshot — flat arc arrays with arc-aligned
+// probabilities. Every reader works on the CSR: the samplers' hot loops,
+// the solvers, and the serving tier's epochs, which layer mutation batches
+// as delta snapshots (CSR.Delta). CSR.WithEdges derives cheap overlay views
+// for candidate evaluation and greedy rounds. See the CSR type for the
+// lifecycle and concurrency contract.
 package ugraph
 
 import (
@@ -400,66 +401,4 @@ func (g *Graph) WithEdges(extra []Edge) *Graph {
 		c.MustAddEdge(e.U, e.V, e.P)
 	}
 	return c
-}
-
-// HopDistances runs a BFS over the underlying (deterministic) topology from
-// src following out-arcs, ignoring probabilities, and returns hop counts
-// (-1 for unreachable nodes). maxHops < 0 means unbounded.
-func (g *Graph) HopDistances(src NodeID, maxHops int) []int32 {
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if maxHops >= 0 && int(dist[u]) >= maxHops {
-			continue
-		}
-		for _, a := range g.out[u] {
-			if dist[a.To] < 0 {
-				dist[a.To] = dist[u] + 1
-				queue = append(queue, a.To)
-			}
-		}
-	}
-	return dist
-}
-
-// WithinHops returns the set of nodes whose hop distance from src is at most
-// h (including src), as a sorted slice.
-func (g *Graph) WithinHops(src NodeID, h int) []NodeID {
-	dist := g.HopDistances(src, h)
-	var out []NodeID
-	for v, d := range dist {
-		if d >= 0 {
-			out = append(out, NodeID(v))
-		}
-	}
-	return out
-}
-
-// Diameter returns the longest finite shortest-path hop distance over a
-// sample of sources (all nodes if sample <= 0 or >= N). It is used by the
-// dataset validators and by the h = diameter equivalence remark in §2.1.
-func (g *Graph) Diameter(sample int) int {
-	step := 1
-	if sample > 0 && sample < g.n {
-		step = g.n / sample
-		if step < 1 {
-			step = 1
-		}
-	}
-	best := 0
-	for u := 0; u < g.n; u += step {
-		dist := g.HopDistances(NodeID(u), -1)
-		for _, d := range dist {
-			if int(d) > best {
-				best = int(d)
-			}
-		}
-	}
-	return best
 }

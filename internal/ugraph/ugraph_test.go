@@ -139,20 +139,30 @@ func TestHopDistances(t *testing.T) {
 	g.MustAddEdge(1, 2, 0.5)
 	g.MustAddEdge(2, 3, 0.5)
 	g.MustAddEdge(0, 2, 0.5)
-	dist := g.HopDistances(0, -1)
+	c := g.Freeze()
+	dist := c.HopDistances(0, -1, false)
 	want := []int32{0, 1, 1, 2, -1}
 	for i := range want {
 		if dist[i] != want[i] {
 			t.Errorf("dist[%d] = %d, want %d", i, dist[i], want[i])
 		}
 	}
-	bounded := g.HopDistances(0, 1)
+	bounded := c.HopDistances(0, 1, false)
 	if bounded[3] != -1 {
 		t.Errorf("maxHops=1 reached node 3 at %d", bounded[3])
 	}
-	within := g.WithinHops(0, 1)
-	if len(within) != 3 { // 0, 1, 2
-		t.Errorf("WithinHops(0,1) = %v", within)
+	within := 0
+	for _, d := range bounded {
+		if d >= 0 {
+			within++
+		}
+	}
+	if within != 3 { // 0, 1, 2
+		t.Errorf("within 1 hop of 0: %v", bounded)
+	}
+	// Ignoring direction, 3 is one hop from 2 and 1 reaches 0 backwards.
+	if back := c.HopDistances(3, -1, true); back[0] != 2 || back[1] != 2 || back[4] != -1 {
+		t.Errorf("undirected-rule distances from 3 = %v", back)
 	}
 }
 
@@ -430,7 +440,7 @@ func TestDiameter(t *testing.T) {
 	g.MustAddEdge(0, 1, 0.5)
 	g.MustAddEdge(1, 2, 0.5)
 	g.MustAddEdge(2, 3, 0.5)
-	if d := g.Diameter(0); d != 3 {
+	if d := g.Freeze().Diameter(0); d != 3 {
 		t.Fatalf("Diameter = %d, want 3", d)
 	}
 }

@@ -384,7 +384,7 @@ func (j *Job) finish(res Result, hit bool, err error) {
 	// Release the pinned snapshot and the progress closure: a terminal job
 	// can be retained indefinitely (relmaxd's job store keeps the last
 	// 1024), and under a mutation workload each one would otherwise pin a
-	// whole per-epoch graph clone. Kind/epoch/key stay for Status.
+	// whole per-epoch snapshot. Kind/epoch/key stay for Status.
 	j.q.snap = nil
 	j.q.Progress = nil
 	switch {
@@ -490,7 +490,7 @@ func (e *Engine) Stats() EngineStats {
 		ReplicatedMutations: e.replicatedMutations.Load(),
 		DeltaCommits:        e.deltaCommits.Load(),
 		Compactions:         e.compactions.Load(),
-		ChainDepth:          e.snap.Load().csr.Depth(),
+		ChainDepth:          e.snap.Load().Depth(),
 		CacheWarmed:         e.cacheWarmed.Load(),
 		AnytimeEstimates:    e.anytimeEstimates.Load(),
 		AnytimeSamplesUsed:  e.anytimeSamplesUsed.Load(),

@@ -83,9 +83,9 @@ func RemoveEdge(u, v NodeID) Mutation {
 // stack; a background compactor folds the chain back into a flat CSR when
 // it reaches the configured depth or delta-arc fraction (see
 // WithCompactionPolicy and Engine.Compact), amortizing the O(N + M)
-// rebuild over many commits. Reads on a layered epoch are bit-identical to
-// the flat rebuild (the differential suites pin this); WithFlatCommits
-// restores the legacy clone+freeze commit for oracle use.
+// rebuild over many commits. Reads and solves on a layered epoch run on it
+// directly and are bit-identical to the flat rebuild (the differential
+// suites pin this).
 func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -97,31 +97,16 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 	}
 	cur := e.snap.Load()
 	if len(muts) == 0 {
-		return cur.csr.Epoch(), nil
+		return cur.Epoch(), nil
 	}
-	var next *engineSnapshot
-	if e.flatApply {
-		g := cur.graph().Clone()
-		if i, err := applyMutationsTo(ctx, g, muts); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return 0, fmt.Errorf("repro: Apply interrupted at mutation %d/%d: %w", i, len(muts), cerr)
-			}
-			m := muts[i]
-			return 0, fmt.Errorf("repro: Apply: mutation %d (%s %d-%d): %v: %w",
-				i, m.Op, m.U, m.V, err, ErrBadMutation)
-		}
-		next = newFlatSnapshot(g)
-	} else {
-		if cerr := ctx.Err(); cerr != nil {
-			return 0, fmt.Errorf("repro: Apply interrupted at mutation %d/%d: %w", 0, len(muts), cerr)
-		}
-		snap, i, err := deltaSnapshot(cur, muts)
-		if err != nil {
-			m := muts[i]
-			return 0, fmt.Errorf("repro: Apply: mutation %d (%s %d-%d): %v: %w",
-				i, m.Op, m.U, m.V, err, ErrBadMutation)
-		}
-		next = snap
+	if cerr := ctx.Err(); cerr != nil {
+		return 0, fmt.Errorf("repro: Apply interrupted at mutation %d/%d: %w", 0, len(muts), cerr)
+	}
+	next, i, err := deltaSnapshot(cur, muts)
+	if err != nil {
+		m := muts[i]
+		return 0, fmt.Errorf("repro: Apply: mutation %d (%s %d-%d): %v: %w",
+			i, m.Op, m.U, m.V, err, ErrBadMutation)
 	}
 	// Durability barrier: the validated batch goes to the WAL — and is
 	// fsynced — before the snapshot rotates. If the append fails the epoch
@@ -130,7 +115,7 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 	// acknowledged survives a crash.
 	var appended store.Batch
 	if e.store != nil {
-		b, err := e.appendToWAL(next.csr.Epoch(), muts)
+		b, err := e.appendToWAL(next.Epoch(), muts)
 		if err != nil {
 			return 0, fmt.Errorf("repro: Apply: durable append: %w", err)
 		}
@@ -143,14 +128,12 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 	// old-epoch result put after the epoch rotates — is trimmed as stale,
 	// which is exactly what it is about to become.
 	if e.cache != nil {
-		e.cache.setEpoch(next.csr.Epoch())
+		e.cache.setEpoch(next.Epoch())
 	}
 	e.snap.Store(next)
 	e.applies.Add(1)
 	e.mutationsApplied.Add(uint64(len(muts)))
-	if len(next.pending) != 0 {
-		e.deltaCommits.Add(1)
-	}
+	e.deltaCommits.Add(1)
 	if e.store != nil {
 		e.pendingBatches++
 		e.pendingBytes += int64(store.EncodedBatchSize(appended))
@@ -162,15 +145,15 @@ func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
 		}
 	}
 	e.maybeCompact(e.snap.Load())
-	e.maybeWarmCache(cur.csr.Epoch())
-	return next.csr.Epoch(), nil
+	e.maybeWarmCache(cur.Epoch())
+	return next.Epoch(), nil
 }
 
 // deltaSnapshot builds the snapshot committing muts over cur as one more
 // delta layer — the O(batch) commit path shared by Apply and
 // ApplyReplicated. On failure it returns the offending mutation's index
 // and the underlying cause; cur is untouched either way.
-func deltaSnapshot(cur *engineSnapshot, muts []Mutation) (*engineSnapshot, int, error) {
+func deltaSnapshot(cur *CSR, muts []Mutation) (*CSR, int, error) {
 	edits := make([]ugraph.DeltaEdit, len(muts))
 	for i, m := range muts {
 		ed, err := deltaEditOf(m)
@@ -179,7 +162,7 @@ func deltaSnapshot(cur *engineSnapshot, muts []Mutation) (*engineSnapshot, int, 
 		}
 		edits[i] = ed
 	}
-	dcsr, err := cur.csr.Delta(edits)
+	next, err := cur.Delta(edits)
 	if err != nil {
 		var de *ugraph.DeltaError
 		if errors.As(err, &de) {
@@ -187,9 +170,7 @@ func deltaSnapshot(cur *engineSnapshot, muts []Mutation) (*engineSnapshot, int, 
 		}
 		return nil, 0, err
 	}
-	pending := make([]Mutation, 0, len(cur.pending)+len(muts))
-	pending = append(append(pending, cur.pending...), muts...)
-	return &engineSnapshot{csr: dcsr, base: cur.base, pending: pending}, 0, nil
+	return next, 0, nil
 }
 
 // deltaEditOf converts one Mutation to its ugraph delta form.
@@ -206,17 +187,17 @@ func deltaEditOf(m Mutation) (ugraph.DeltaEdit, error) {
 	}
 }
 
-// applyMutationsTo executes a mutation batch in order against g — the
-// single path Apply, ApplyReplicated and durable WAL replay
-// (RecoverEngine) go through — batching every run of consecutive
-// remove-edge mutations into one Graph.RemoveEdges compaction pass, so k
-// removals in a batch cost O(N + M + k) instead of O(k·(N + M)). The
+// applyMutationsTo executes a mutation batch in order against the builder
+// graph g — the path durable WAL replay (RecoverEngine) goes through —
+// batching every run of consecutive remove-edge mutations into one
+// Graph.RemoveEdges compaction pass, so k removals in a batch cost
+// O(N + M + k) instead of O(k·(N + M)). The
 // resulting graph (edge IDs, arc order, version counter) is bit-identical
 // to one-at-a-time application, so batches written by one node replay
 // identically everywhere. On error the returned index names the offending
 // mutation (the first of its run, for batched removals); the graph may be
-// partially mutated, which is fine because every caller mutates a clone
-// and discards it on error. ctx may be nil (replay paths).
+// partially mutated, which is fine because recovery discards it on error.
+// ctx may be nil.
 func applyMutationsTo(ctx context.Context, g *Graph, muts []Mutation) (int, error) {
 	for i := 0; i < len(muts); {
 		if ctx != nil {

@@ -77,7 +77,7 @@ type Query struct {
 	// after a mutation; the snapshot pointer is what lets a job submitted
 	// before Engine.Apply keep computing on the graph it was submitted
 	// against.
-	snap  *engineSnapshot
+	snap  *CSR
 	epoch uint64
 }
 
@@ -143,7 +143,7 @@ type AnytimeEstimate struct {
 // themselves.
 func (e *Engine) Canonicalize(q Query) (Query, error) {
 	snap := e.snap.Load()
-	out := Query{Kind: q.Kind, Progress: q.Progress, snap: snap, epoch: snap.csr.Epoch()}
+	out := Query{Kind: q.Kind, Progress: q.Progress, snap: snap, epoch: snap.Epoch()}
 	opt := e.options(q.Options)
 	opt.Scratch = nil
 	opt.Progress = nil
@@ -356,7 +356,7 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 	}
 	switch q.Kind {
 	case QuerySolve:
-		sol, err := core.Solve(ctx, snap.graph(), q.S, q.T, q.Method, opt)
+		sol, err := core.Solve(ctx, snap, q.S, q.T, q.Method, opt)
 		res.Solution = sol
 		if err == nil && sol.PathCount == 0 && (q.Method == MethodIP || q.Method == MethodBE) {
 			// The legacy free Solve returns an empty zero-gain Solution here;
@@ -366,18 +366,18 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 		}
 		return res, err
 	case QueryMulti:
-		sol, err := core.SolveMulti(ctx, snap.graph(), q.Sources, q.Targets, q.Aggregate, q.Method, opt)
+		sol, err := core.SolveMulti(ctx, snap, q.Sources, q.Targets, q.Aggregate, q.Method, opt)
 		res.Multi = sol
 		return res, err
 	case QueryTotalBudget:
-		sol, err := core.SolveTotalBudget(ctx, snap.graph(), q.S, q.T, q.Budget, opt)
+		sol, err := core.SolveTotalBudget(ctx, snap, q.S, q.T, q.Budget, opt)
 		res.TotalBudget = sol
 		return res, err
 	case QueryEstimate:
-		if err := snap.checkNode(q.S); err != nil {
+		if err := checkNode(snap, q.S); err != nil {
 			return res, err
 		}
-		if err := snap.checkNode(q.T); err != nil {
+		if err := checkNode(snap, q.T); err != nil {
 			return res, err
 		}
 		if opt.Precision > 0 {
@@ -393,12 +393,7 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		var rel float64
-		if cs, ok := smp.(sampling.CSRSampler); ok {
-			rel = cs.ReliabilityCSR(snap.csr, q.S, q.T)
-		} else {
-			rel = smp.Reliability(snap.graph(), q.S, q.T)
-		}
+		rel := smp.ReliabilityCSR(snap, q.S, q.T)
 		if cerr := ctx.Err(); cerr != nil {
 			return res, fmt.Errorf("repro: estimate interrupted: %w", cerr)
 		}
@@ -423,12 +418,12 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 // warm pool — one undivided full-budget stream per query, keyed on the
 // query index, bit-identical at any scheduling (see
 // sampling.EstimateManySerial).
-func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Options, pairs []PairQuery) ([]float64, error) {
+func (e *Engine) estimateMany(ctx context.Context, snap *CSR, opt Options, pairs []PairQuery) ([]float64, error) {
 	for _, q := range pairs {
-		if err := snap.checkNode(q.S); err != nil {
+		if err := checkNode(snap, q.S); err != nil {
 			return nil, err
 		}
-		if err := snap.checkNode(q.T); err != nil {
+		if err := checkNode(snap, q.T); err != nil {
 			return nil, err
 		}
 	}
@@ -440,7 +435,7 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 		if err != nil {
 			return nil, err
 		}
-		out := smp.(*sampling.ParallelSampler).EstimateManyCSR(snap.csr, pairs)
+		out := smp.(*sampling.ParallelSampler).EstimateMany(snap, pairs)
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("repro: estimate batch interrupted: %w", cerr)
 		}
@@ -454,7 +449,7 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 			return nil, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
 		}
 	}
-	out := sampling.EstimateManySerial(ctx, ss, snap.csr, pairs, opt.Z, opt.Seed, 0)
+	out := sampling.EstimateManySerial(ctx, ss, snap, pairs, opt.Z, opt.Seed, 0)
 	if cerr := ctx.Err(); cerr != nil {
 		// Out-of-order scheduling means there is no meaningful completed
 		// prefix; discard the partial merge.
@@ -469,7 +464,7 @@ func (e *Engine) estimateMany(ctx context.Context, snap *engineSnapshot, opt Opt
 // serial sampler when Workers == 0. Each call starts from the resolved
 // seed, so identical estimation requests return identical values
 // regardless of what ran before.
-func (e *Engine) estimatorFor(ctx context.Context, opt Options) (sampling.Sampler, error) {
+func (e *Engine) estimatorFor(ctx context.Context, opt Options) (sampling.CSRSampler, error) {
 	if opt.Workers != 0 {
 		var ps *sampling.ParallelSampler
 		if opt.Sampler == e.scratch.Kind() {
@@ -497,7 +492,7 @@ func (e *Engine) estimatorFor(ctx context.Context, opt Options) (sampling.Sample
 // interval is at most opt.Precision wide (half-width), the MaxZ budget is
 // spent, or the deadline fires — whichever comes first. Progress events
 // (StageEstimate) stream the narrowing interval.
-func (e *Engine) anytimeEstimate(ctx context.Context, snap *engineSnapshot, opt Options, s, t NodeID, seed int64, progress ProgressFunc) (*AnytimeEstimate, error) {
+func (e *Engine) anytimeEstimate(ctx context.Context, snap *CSR, opt Options, s, t NodeID, seed int64, progress ProgressFunc) (*AnytimeEstimate, error) {
 	cfg := anytime.Config{
 		Sampler:   opt.Sampler,
 		Precision: opt.Precision,
@@ -514,7 +509,7 @@ func (e *Engine) anytimeEstimate(ctx context.Context, snap *engineSnapshot, opt 
 			})
 		}
 	}
-	est, err := anytime.Run(ctx, snap.csr, s, t, cfg)
+	est, err := anytime.Run(ctx, snap, s, t, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("repro: estimate interrupted: %w", err)
 	}
@@ -536,12 +531,12 @@ func (e *Engine) anytimeEstimate(ctx context.Context, snap *engineSnapshot, opt 
 // sequentially; pair i derives its stream from SplitSeed(seed, i), so each
 // pair's answer is independent of the batch composition (the same pair
 // alone or in any batch position i gets the same stream).
-func (e *Engine) anytimeEstimateMany(ctx context.Context, snap *engineSnapshot, opt Options, pairs []PairQuery) ([]float64, []AnytimeEstimate, error) {
+func (e *Engine) anytimeEstimateMany(ctx context.Context, snap *CSR, opt Options, pairs []PairQuery) ([]float64, []AnytimeEstimate, error) {
 	for _, q := range pairs {
-		if err := snap.checkNode(q.S); err != nil {
+		if err := checkNode(snap, q.S); err != nil {
 			return nil, nil, err
 		}
-		if err := snap.checkNode(q.T); err != nil {
+		if err := checkNode(snap, q.T); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -148,14 +148,14 @@ func ReadGraph(r io.Reader) (*Graph, error) { return ugraph.ReadEdgeList(r) }
 // a context (cancellation, deadlines), reuses the sampler pool across
 // queries and returns the same results bit-for-bit at the same Options.
 func Solve(g *Graph, s, t NodeID, method Method, opt Options) (Solution, error) {
-	return core.Solve(context.Background(), g, s, t, method, opt)
+	return core.Solve(context.Background(), g.Freeze(), s, t, method, opt)
 }
 
 // SolveMulti answers a multiple-source-target query (Problem 4) under the
 // chosen aggregate. Supported methods: MethodBE, MethodHillClimbing,
 // MethodEigen. Legacy non-cancellable wrapper; see Engine.SolveMulti.
 func SolveMulti(g *Graph, sources, targets []NodeID, agg Aggregate, method Method, opt Options) (MultiSolution, error) {
-	return core.SolveMulti(context.Background(), g, sources, targets, agg, method, opt)
+	return core.SolveMulti(context.Background(), g.Freeze(), sources, targets, agg, method, opt)
 }
 
 // Methods lists every Problem 1 solver.
@@ -170,7 +170,7 @@ type TotalBudgetSolution = core.TotalBudgetSolution
 // probabilities are chosen by the solver). Legacy non-cancellable wrapper;
 // see Engine.SolveTotalBudget.
 func SolveTotalBudget(g *Graph, s, t NodeID, budget float64, opt Options) (TotalBudgetSolution, error) {
-	return core.SolveTotalBudget(context.Background(), g, s, t, budget, opt)
+	return core.SolveTotalBudget(context.Background(), g.Freeze(), s, t, budget, opt)
 }
 
 // Sampler estimates s-t reliability; see NewMonteCarloSampler and
@@ -181,7 +181,8 @@ type Sampler = sampling.Sampler
 
 // BatchSampler is the batched-evaluation interface implemented by
 // NewParallelSampler's result: many (s, t) queries, candidate edges or
-// source/target vectors in one fanned-out call.
+// source/target vectors in one fanned-out call, each on a frozen snapshot
+// (Graph.Freeze, Engine.Snapshot or a CSR.WithEdges view).
 type BatchSampler = sampling.BatchSampler
 
 // CSRSampler is the snapshot-level estimation interface implemented by all
@@ -231,12 +232,14 @@ func NewLazySampler(z int, seed int64) Sampler { return sampling.NewLazy(z, seed
 type Path = paths.Path
 
 // MostReliablePath returns the maximum-probability s-t path.
-func MostReliablePath(g *Graph, s, t NodeID) (Path, bool) { return paths.MostReliable(g, s, t) }
+func MostReliablePath(g *Graph, s, t NodeID) (Path, bool) {
+	return paths.MostReliable(g.Freeze(), s, t)
+}
 
 // TopLPaths returns up to l most reliable simple s-t paths in decreasing
 // probability.
 func TopLPaths(g *Graph, s, t NodeID, l int) []Path {
-	return paths.TopL(context.Background(), g, s, t, l)
+	return paths.TopL(context.Background(), g.Freeze(), s, t, l)
 }
 
 // MRPResult is the outcome of ImproveMostReliablePath.
@@ -246,7 +249,7 @@ type MRPResult = paths.MRPResult
 // polynomial time: pick ≤ k candidate edges maximizing the probability of
 // the most reliable s-t path.
 func ImproveMostReliablePath(g *Graph, candidates []Edge, s, t NodeID, k int) MRPResult {
-	return paths.ImproveMostReliablePath(context.Background(), g, candidates, s, t, k)
+	return paths.ImproveMostReliablePath(context.Background(), g.Freeze(), candidates, s, t, k)
 }
 
 // DatasetNames lists the built-in evaluation dataset stand-ins (Table 8).
@@ -288,7 +291,7 @@ type InfluenceConfig = influence.Config
 // InfluenceSpread estimates the expected independent-cascade spread from
 // sources restricted to targets (Equation 13).
 func InfluenceSpread(g *Graph, sources, targets []NodeID, cfg InfluenceConfig) float64 {
-	return influence.Spread(context.Background(), g, sources, targets, cfg)
+	return influence.Spread(context.Background(), g.Freeze(), sources, targets, cfg)
 }
 
 // ExperimentTable is one rendered table/figure reproduction.

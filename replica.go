@@ -9,12 +9,11 @@ import (
 
 // Replication support. A read replica mirrors a primary engine by applying
 // the primary's committed mutation batches — the exact store.Batch records
-// the primary appended to its WAL — through the same applyMutationTo
-// machinery crash recovery uses. A replica at epoch E therefore answers
-// every query bit-identically to the primary's pinned-epoch-E snapshot:
-// the graph was rebuilt by the same operations in the same order, and the
-// epoch is part of every query fingerprint, so caches self-invalidate as
-// the replica advances. See internal/replication for the feed transport.
+// the primary appended to its WAL — through the same delta commit Apply
+// uses. A replica at epoch E therefore answers every query bit-identically
+// to the primary's pinned-epoch-E snapshot: its snapshot went through the
+// same operations in the same order, and the epoch is part of every query
+// fingerprint, so caches self-invalidate as the replica advances. See internal/replication for the feed transport.
 
 // ErrReplicaGap reports a replicated batch that does not chain onto the
 // replica's current epoch (its PrevEpoch is not the engine's epoch), or a
@@ -26,8 +25,7 @@ var ErrReplicaGap = errors.New("replica gap: batch does not chain onto current e
 // ApplyReplicated commits one replicated mutation batch — a batch the
 // primary already validated, applied and acknowledged — and returns the new
 // epoch. It is the follower-side counterpart of Apply: the same delta-epoch
-// commit (or clone → mutate → freeze under WithFlatCommits), including the
-// same background compaction policy, but the batch is NOT re-appended to a WAL (the
+// commit, including the same background compaction policy, but the batch is NOT re-appended to a WAL (the
 // primary's log is the source of truth; relmaxd replicas are memoryless and
 // re-bootstrap over the feed) and it counts in ReplicatedApplies /
 // ReplicatedMutations, distinct from local Apply traffic.
@@ -47,46 +45,32 @@ func (e *Engine) ApplyReplicated(b store.Batch) (uint64, error) {
 	if len(b.Muts) == 0 {
 		return 0, fmt.Errorf("repro: ApplyReplicated: empty batch at epoch %d: %w", b.Epoch, ErrReplicaGap)
 	}
-	if b.PrevEpoch() != cur.csr.Epoch() {
+	if b.PrevEpoch() != cur.Epoch() {
 		return 0, fmt.Errorf("repro: ApplyReplicated: batch epoch %d chains from %d, replica at %d: %w",
-			b.Epoch, b.PrevEpoch(), cur.csr.Epoch(), ErrReplicaGap)
+			b.Epoch, b.PrevEpoch(), cur.Epoch(), ErrReplicaGap)
 	}
-	muts := mutationsFromStore(b.Muts)
-	var next *engineSnapshot
-	if e.flatApply {
-		g := cur.graph().Clone()
-		if i, err := applyMutationsTo(nil, g, muts); err != nil {
-			return 0, fmt.Errorf("repro: ApplyReplicated: batch epoch %d mutation %d: %v: %w",
-				b.Epoch, i, err, ErrReplicaGap)
-		}
-		next = newFlatSnapshot(g)
-	} else {
-		snap, i, err := deltaSnapshot(cur, muts)
-		if err != nil {
-			return 0, fmt.Errorf("repro: ApplyReplicated: batch epoch %d mutation %d: %v: %w",
-				b.Epoch, i, err, ErrReplicaGap)
-		}
-		next = snap
+	next, i, err := deltaSnapshot(cur, mutationsFromStore(b.Muts))
+	if err != nil {
+		return 0, fmt.Errorf("repro: ApplyReplicated: batch epoch %d mutation %d: %v: %w",
+			b.Epoch, i, err, ErrReplicaGap)
 	}
-	if next.csr.Epoch() != b.Epoch {
+	if next.Epoch() != b.Epoch {
 		return 0, fmt.Errorf("repro: ApplyReplicated: replay of batch epoch %d arrived at %d: %w",
-			b.Epoch, next.csr.Epoch(), ErrReplicaGap)
+			b.Epoch, next.Epoch(), ErrReplicaGap)
 	}
 	// Same ordering as Apply: the cache rotates to the new epoch before the
 	// snapshot publishes, so a racing query cannot cache a fresh result that
 	// the lazy trim would immediately reclaim as stale.
 	if e.cache != nil {
-		e.cache.setEpoch(next.csr.Epoch())
+		e.cache.setEpoch(next.Epoch())
 	}
 	e.snap.Store(next)
 	e.replicatedApplies.Add(1)
 	e.replicatedMutations.Add(uint64(len(b.Muts)))
-	if len(next.pending) != 0 {
-		e.deltaCommits.Add(1)
-	}
+	e.deltaCommits.Add(1)
 	e.maybeCompact(next)
-	e.maybeWarmCache(cur.csr.Epoch())
-	return next.csr.Epoch(), nil
+	e.maybeWarmCache(cur.Epoch())
+	return next.Epoch(), nil
 }
 
 // ResetToSnapshot replaces the engine's graph wholesale with the state a
@@ -105,10 +89,10 @@ func (e *Engine) ResetToSnapshot(s *store.Snapshot) error {
 	if e.closed.Load() {
 		return fmt.Errorf("repro: ResetToSnapshot: %w", ErrClosed)
 	}
-	next := newFlatSnapshot(g)
+	next := g.Freeze()
 	if e.cache != nil {
 		e.cache.purge()
-		e.cache.setEpoch(next.csr.Epoch())
+		e.cache.setEpoch(next.Epoch())
 	}
 	e.snap.Store(next)
 	e.replicatedApplies.Add(1)
