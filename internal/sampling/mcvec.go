@@ -244,6 +244,8 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 	}
 	var tmask uint64
 	hasX := c.HasOverlay()
+	// One row lookup per node on layered snapshots; see CSR.OutRow.
+	layered := c.Depth() > 0
 	r := &v.r
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
@@ -255,24 +257,32 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 		var arcs, extra []ugraph.Arc
 		var probs, xprobs []float64
 		if forward {
-			arcs = c.Out(u)
+			switch {
+			case layered:
+				arcs, probs = c.OutRow(u)
+			case rescan:
+				arcs = c.Out(u)
+			default:
+				arcs, probs = c.Out(u), c.OutProbs(u)
+			}
 			if hasX {
 				extra = c.OutOverlay(u)
-			}
-			if !rescan {
-				probs = c.OutProbs(u)
-				if hasX {
+				if !rescan {
 					xprobs = c.OutOverlayProbs(u)
 				}
 			}
 		} else {
-			arcs = c.In(u)
+			switch {
+			case layered:
+				arcs, probs = c.InRow(u)
+			case rescan:
+				arcs = c.In(u)
+			default:
+				arcs, probs = c.In(u), c.InProbs(u)
+			}
 			if hasX {
 				extra = c.InOverlay(u)
-			}
-			if !rescan {
-				probs = c.InProbs(u)
-				if hasX {
+				if !rescan {
 					xprobs = c.InOverlayProbs(u)
 				}
 			}
