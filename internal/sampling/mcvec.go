@@ -244,8 +244,6 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 	}
 	var tmask uint64
 	hasX := c.HasOverlay()
-	// One row lookup per node on layered snapshots; see CSR.OutRow.
-	layered := c.Depth() > 0
 	r := &v.r
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
@@ -257,32 +255,24 @@ func (v *MCVec) block(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, lanes u
 		var arcs, extra []ugraph.Arc
 		var probs, xprobs []float64
 		if forward {
-			switch {
-			case layered:
-				arcs, probs = c.OutRow(u)
-			case rescan:
-				arcs = c.Out(u)
-			default:
-				arcs, probs = c.Out(u), c.OutProbs(u)
-			}
+			arcs = c.Out(u)
 			if hasX {
 				extra = c.OutOverlay(u)
-				if !rescan {
+			}
+			if !rescan {
+				probs = c.OutProbs(u)
+				if hasX {
 					xprobs = c.OutOverlayProbs(u)
 				}
 			}
 		} else {
-			switch {
-			case layered:
-				arcs, probs = c.InRow(u)
-			case rescan:
-				arcs = c.In(u)
-			default:
-				arcs, probs = c.In(u), c.InProbs(u)
-			}
+			arcs = c.In(u)
 			if hasX {
 				extra = c.InOverlay(u)
-				if !rescan {
+			}
+			if !rescan {
+				probs = c.InProbs(u)
+				if hasX {
 					xprobs = c.InOverlayProbs(u)
 				}
 			}

@@ -417,27 +417,17 @@ func sampledWalkCond(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugrap
 	queue = append(queue, src)
 	nodeEp[src] = epoch
 	hasX := c.HasOverlay()
-	// One row lookup per node on layered snapshots; see CSR.OutRow.
-	layered := c.Depth() > 0
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		var arcs, extra []ugraph.Arc
 		var probs, xprobs []float64
 		if forward {
-			if layered {
-				arcs, probs = c.OutRow(u)
-			} else {
-				arcs, probs = c.Out(u), c.OutProbs(u)
-			}
+			arcs, probs = c.Out(u), c.OutProbs(u)
 			if hasX {
 				extra, xprobs = c.OutOverlay(u), c.OutOverlayProbs(u)
 			}
 		} else {
-			if layered {
-				arcs, probs = c.InRow(u)
-			} else {
-				arcs, probs = c.In(u), c.InProbs(u)
-			}
+			arcs, probs = c.In(u), c.InProbs(u)
 			if hasX {
 				extra, xprobs = c.InOverlay(u), c.InOverlayProbs(u)
 			}

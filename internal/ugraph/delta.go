@@ -386,34 +386,6 @@ func (c *CSR) deltaOut(u NodeID) []Arc {
 	return c.outArcs[c.outOff[u]:c.outOff[u+1]]
 }
 
-// OutRow returns Out(u) and OutProbs(u) with one row lookup where the pair
-// of calls takes two on a layered snapshot. It is too large to inline, so
-// hot walks use it only on layered snapshots and keep the two inlined calls
-// on flat ones.
-func (c *CSR) OutRow(u NodeID) ([]Arc, []float64) {
-	if c.d != nil {
-		if i, ok := c.d.outRows.get(int32(u)); ok {
-			return c.d.outRowArcs[i], c.d.outRowP[i]
-		}
-	}
-	lo, hi := c.outOff[u], c.outOff[u+1]
-	return c.outArcs[lo:hi], c.outP[lo:hi]
-}
-
-// InRow is OutRow for In(u) and InProbs(u).
-func (c *CSR) InRow(u NodeID) ([]Arc, []float64) {
-	if !c.directed {
-		return c.OutRow(u)
-	}
-	if c.d != nil {
-		if i, ok := c.d.inRows.get(int32(u)); ok {
-			return c.d.inRowArcs[i], c.d.inRowP[i]
-		}
-	}
-	lo, hi := c.inOff[u], c.inOff[u+1]
-	return c.inArcs[lo:hi], c.inP[lo:hi]
-}
-
 func (c *CSR) deltaOutProbs(u NodeID) []float64 {
 	if i, ok := c.d.outRows.get(int32(u)); ok {
 		return c.d.outRowP[i]
