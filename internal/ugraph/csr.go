@@ -32,11 +32,7 @@ type CSR struct {
 	// addBase()..addBase()+len(xp)-1 (past the base array and any delta
 	// adds) and their arcs are grouped per node in the tiny xOut*/xIn*
 	// arrays, found by linear scan (overlays hold a handful of edges — one
-	// candidate, or one solution set). xOutMask/xInMask set bit u&63 for
-	// every node u with overlay arcs, so the walks' per-node probes skip
-	// the scan for almost every node.
-	xOutMask uint64
-	xInMask  uint64
+	// candidate, or one solution set).
 	xp       []float64
 	xends    []Edge
 	xOutNode []NodeID
@@ -209,18 +205,12 @@ func (c *CSR) HasOverlay() bool { return len(c.xp) > 0 }
 // OutOverlay returns the overlay out-arcs of u (nil for base snapshots and
 // untouched nodes).
 func (c *CSR) OutOverlay(u NodeID) []Arc {
-	if c.xOutMask&maskBit(u) == 0 {
-		return nil
-	}
 	lo, hi := overlayRow(c.xOutNode, c.xOutOff, u)
 	return c.xOutArcs[lo:hi]
 }
 
 // OutOverlayProbs returns the probabilities aligned with OutOverlay(u).
 func (c *CSR) OutOverlayProbs(u NodeID) []float64 {
-	if c.xOutMask&maskBit(u) == 0 {
-		return nil
-	}
 	lo, hi := overlayRow(c.xOutNode, c.xOutOff, u)
 	return c.xOutP[lo:hi]
 }
@@ -228,38 +218,20 @@ func (c *CSR) OutOverlayProbs(u NodeID) []float64 {
 // InOverlay returns the overlay in-arcs of u. For undirected graphs this is
 // OutOverlay(u).
 func (c *CSR) InOverlay(u NodeID) []Arc {
-	if !c.directed {
-		return c.OutOverlay(u)
+	if c.directed {
+		lo, hi := overlayRow(c.xInNode, c.xInOff, u)
+		return c.xInArcs[lo:hi]
 	}
-	if c.xInMask&maskBit(u) == 0 {
-		return nil
-	}
-	lo, hi := overlayRow(c.xInNode, c.xInOff, u)
-	return c.xInArcs[lo:hi]
+	return c.OutOverlay(u)
 }
 
 // InOverlayProbs returns the probabilities aligned with InOverlay(u).
 func (c *CSR) InOverlayProbs(u NodeID) []float64 {
-	if !c.directed {
-		return c.OutOverlayProbs(u)
+	if c.directed {
+		lo, hi := overlayRow(c.xInNode, c.xInOff, u)
+		return c.xInP[lo:hi]
 	}
-	if c.xInMask&maskBit(u) == 0 {
-		return nil
-	}
-	lo, hi := overlayRow(c.xInNode, c.xInOff, u)
-	return c.xInP[lo:hi]
-}
-
-// maskBit is u's bit in the overlay node masks.
-func maskBit(u NodeID) uint64 { return 1 << (uint32(u) & 63) }
-
-// nodeMask sets every node's maskBit.
-func nodeMask(nodes []NodeID) uint64 {
-	var m uint64
-	for _, u := range nodes {
-		m |= maskBit(u)
-	}
-	return m
+	return c.OutOverlayProbs(u)
 }
 
 func overlayRow(nodes []NodeID, off []int32, u NodeID) (int32, int32) {
@@ -399,11 +371,9 @@ func (v *CSR) buildOverlayRows() {
 		}
 	}
 	v.xOutNode, v.xOutOff, v.xOutArcs = groupArcs(outFrom, outArc)
-	v.xOutMask = nodeMask(v.xOutNode)
 	v.xOutP = v.alignProbs(v.xOutArcs)
 	if v.directed {
 		v.xInNode, v.xInOff, v.xInArcs = groupArcs(inFrom, inArc)
-		v.xInMask = nodeMask(v.xInNode)
 		v.xInP = v.alignProbs(v.xInArcs)
 	}
 }
