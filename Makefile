@@ -13,12 +13,13 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the concurrency-bearing packages: parallel sampler, solvers,
-# the root package (Engine's concurrent-use contract, including the
-# durability tests), the persistence layer, the replication subsystem and
-# the HTTP server.
+# Race-check the concurrency-bearing packages: parallel sampler, the
+# anytime controller (its sharded streams lease pooled samplers across
+# goroutines), solvers, the root package (Engine's concurrent-use contract,
+# including the durability tests), the persistence layer, the replication
+# subsystem and the HTTP server.
 race:
-	$(GO) test -race . ./internal/sampling/... ./internal/core/... ./internal/store ./internal/replication ./cmd/relmaxd
+	$(GO) test -race . ./internal/sampling/... ./internal/anytime ./internal/core/... ./internal/store ./internal/replication ./cmd/relmaxd
 
 # Full benchmark run with stable settings for recording numbers.
 bench:
@@ -56,9 +57,8 @@ bench-compare:
 # scalar and vector parallel samplers), require adaptive stopping to beat
 # the fixed budget it is capped at, require the delta mutation commit to
 # beat the full clone+refreeze by >=5x on single-edit batches (and to stay
-# ahead on 16-edit batches), and emit the BENCH_mcvec.json speedup
-# artifact, the BENCH_anytime.json adaptive-vs-fixed artifact, the
-# BENCH_apply.json delta-vs-clone artifact, and a markdown summary
+# ahead on 16-edit batches), and emit the BENCH_twins.json artifact
+# (mcvec vs mc, adaptive vs fixed, delta vs clone) and a markdown summary
 # (bench-summary.md; CI appends it to the job summary).
 bench-gate:
 	@test -f bench-baseline.txt || { echo "no bench-baseline.txt; run 'make bench-baseline' on the old tree first"; exit 1; }
@@ -70,8 +70,7 @@ bench-gate:
 		-faster 'BenchmarkAnytimeEstimate/adaptive/p0.02<BenchmarkAnytimeEstimate/fixed/p0.02' \
 		-faster 'BenchmarkApply/delta/b1<BenchmarkApply/clone/b1@5' \
 		-faster 'BenchmarkApply/delta/b16<BenchmarkApply/clone/b16' \
-		-speedup-json BENCH_mcvec.json -anytime-json BENCH_anytime.json \
-		-apply-json BENCH_apply.json \
+		-twins-json BENCH_twins.json \
 		-markdown bench-summary.md
 
 # End-to-end serving smoke: build cmd/relmaxd, start it on a tiny dataset,

@@ -9,17 +9,12 @@
 //   - fails when a -faster assertion "A<B" does not hold on -new medians
 //     (used to prove parallel speedup, e.g. w4 < w1 wall-clock); the form
 //     "A<B@5" requires A to be at least 5x faster than B,
-//   - writes a machine-readable speedup artifact (-speedup-json) mapping
-//     every vector-MC benchmark to its ns/op, allocs/op and speedup over
-//     the scalar twin (the same benchmark name with the "mcvec" path
-//     segment replaced by "mc"),
-//   - writes an anytime artifact (-anytime-json) mapping every adaptive
-//     estimate benchmark to its fixed-budget twin (the "adaptive" path
-//     segment replaced by "fixed"), including the samples/op custom metric
-//     both report and the fraction of the budget adaptive stopping saved,
-//   - writes an apply artifact (-apply-json) mapping every delta-commit
-//     benchmark to its full-clone twin (the "delta" path segment replaced
-//     by "clone"), with the overlay commit's speedup over the rebuild,
+//   - pairs every benchmark with its twin under a fixed table of rules
+//     (twinRules: a "mcvec" path segment's twin is "mc", "adaptive"'s is
+//     "fixed", "delta"'s is "clone") and writes each pair's ns/op,
+//     allocs/op and speedup over the twin — plus, for the anytime pairs,
+//     the samples/op both report and the fraction of the budget adaptive
+//     stopping saved — to one machine-readable artifact (-twins-json),
 //   - renders a markdown summary (-markdown) suitable for
 //     $GITHUB_STEP_SUMMARY.
 //
@@ -188,14 +183,37 @@ func checkFaster(results map[string]*result, a fasterAssert) error {
 	return nil
 }
 
-// speedup is one vector benchmark's comparison against its scalar twin.
-type speedup struct {
-	Name            string  `json:"name"`
-	NsPerOp         float64 `json:"ns_per_op"`
-	AllocsPerOp     float64 `json:"allocs_per_op"`
-	Scalar          string  `json:"scalar"`
-	ScalarNsPerOp   float64 `json:"scalar_ns_per_op"`
-	SpeedupVsScalar float64 `json:"speedup_vs_scalar"`
+// twinRule pairs every benchmark whose name has the exact path segment
+// from with the twin named by replacing that segment with to.
+type twinRule struct {
+	from, to string
+	// samples marks the anytime pairs: both report the samples/op metric,
+	// and a pair without it is skipped rather than reported without the
+	// budget saving.
+	samples bool
+}
+
+// twinRules: vector MC against scalar MC, adaptive (anytime) estimates
+// against the fixed budget they are capped at, and the delta mutation
+// commit against the full clone+refreeze.
+var twinRules = []twinRule{
+	{from: "mcvec", to: "mc"},
+	{from: "adaptive", to: "fixed", samples: true},
+	{from: "delta", to: "clone"},
+}
+
+// twin is one benchmark's comparison against its twin.
+type twin struct {
+	Name        string  `json:"name"`
+	Twin        string  `json:"twin"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	TwinNsPerOp float64 `json:"twin_ns_per_op"`
+	Speedup     float64 `json:"speedup"`
+	// The anytime pairs only.
+	SamplesPerOp     float64 `json:"samples_per_op,omitempty"`
+	TwinSamplesPerOp float64 `json:"twin_samples_per_op,omitempty"`
+	SamplesSavedFrac float64 `json:"samples_saved_frac,omitempty"`
 }
 
 // twinName rewrites every exact "from" path segment of a benchmark name to
@@ -215,140 +233,46 @@ func twinName(name, from, to string) string {
 	return strings.Join(segs, "/")
 }
 
-// scalarTwin maps a vector benchmark name to its scalar counterpart by
-// replacing the exact "mcvec" path segment with "mc".
-func scalarTwin(name string) string { return twinName(name, "mcvec", "mc") }
-
-// buildSpeedups extracts every mcvec benchmark that has a scalar twin in
+// buildTwins extracts, for every rule, each benchmark that has a twin in
 // the same result set, sorted by name for a stable artifact.
-func buildSpeedups(results map[string]*result) []speedup {
-	var out []speedup
-	for name, res := range results {
-		twin := scalarTwin(name)
-		if twin == "" {
-			continue
+func buildTwins(results map[string]*result) []twin {
+	var out []twin
+	for _, rule := range twinRules {
+		for name, res := range results {
+			tn := twinName(name, rule.from, rule.to)
+			tr, ok := results[tn]
+			if tn == "" || !ok {
+				continue
+			}
+			nm, tm := median(res.nsOp), median(tr.nsOp)
+			if math.IsNaN(nm) || math.IsNaN(tm) || nm == 0 {
+				continue
+			}
+			tw := twin{
+				Name:        name,
+				Twin:        tn,
+				NsPerOp:     nm,
+				AllocsPerOp: median(res.allocsOp),
+				TwinNsPerOp: tm,
+				Speedup:     tm / nm,
+			}
+			if rule.samples {
+				ns, ts := median(res.samplesOp), median(tr.samplesOp)
+				if math.IsNaN(ns) || math.IsNaN(ts) || ts == 0 {
+					continue
+				}
+				tw.SamplesPerOp, tw.TwinSamplesPerOp, tw.SamplesSavedFrac = ns, ts, 1-ns/ts
+			}
+			out = append(out, tw)
 		}
-		tr, ok := results[twin]
-		if !ok {
-			continue
-		}
-		vm, sm := median(res.nsOp), median(tr.nsOp)
-		if math.IsNaN(vm) || math.IsNaN(sm) || vm == 0 {
-			continue
-		}
-		out = append(out, speedup{
-			Name:            name,
-			NsPerOp:         vm,
-			AllocsPerOp:     median(res.allocsOp),
-			Scalar:          twin,
-			ScalarNsPerOp:   sm,
-			SpeedupVsScalar: sm / vm,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// anytime is one adaptive estimate benchmark's comparison against its
-// fixed-budget twin: same sampler and budget cap, but the adaptive run
-// stops at the requested precision instead of spending the whole budget.
-type anytime struct {
-	Name              string  `json:"name"`
-	NsPerOp           float64 `json:"ns_per_op"`
-	SamplesPerOp      float64 `json:"samples_per_op"`
-	Fixed             string  `json:"fixed"`
-	FixedNsPerOp      float64 `json:"fixed_ns_per_op"`
-	FixedSamplesPerOp float64 `json:"fixed_samples_per_op"`
-	SpeedupVsFixed    float64 `json:"speedup_vs_fixed"`
-	SamplesSavedFrac  float64 `json:"samples_saved_frac"`
-}
-
-// fixedTwin maps an adaptive benchmark name to its fixed-budget
-// counterpart by replacing the exact "adaptive" path segment with "fixed".
-func fixedTwin(name string) string { return twinName(name, "adaptive", "fixed") }
-
-// buildAnytimes extracts every adaptive benchmark that has a fixed twin
-// reporting the samples/op metric, sorted by name for a stable artifact.
-func buildAnytimes(results map[string]*result) []anytime {
-	var out []anytime
-	for name, res := range results {
-		twin := fixedTwin(name)
-		if twin == "" {
-			continue
-		}
-		tr, ok := results[twin]
-		if !ok {
-			continue
-		}
-		am, fm := median(res.nsOp), median(tr.nsOp)
-		as, fs := median(res.samplesOp), median(tr.samplesOp)
-		if math.IsNaN(am) || math.IsNaN(fm) || math.IsNaN(as) || math.IsNaN(fs) || am == 0 || fs == 0 {
-			continue
-		}
-		out = append(out, anytime{
-			Name:              name,
-			NsPerOp:           am,
-			SamplesPerOp:      as,
-			Fixed:             twin,
-			FixedNsPerOp:      fm,
-			FixedSamplesPerOp: fs,
-			SpeedupVsFixed:    fm / am,
-			SamplesSavedFrac:  1 - as/fs,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// applyCmp is one delta-commit benchmark's comparison against its
-// full-clone twin: the same mutation batch committed as a persistent
-// overlay versus a clone-and-refreeze of the whole graph.
-type applyCmp struct {
-	Name           string  `json:"name"`
-	NsPerOp        float64 `json:"ns_per_op"`
-	AllocsPerOp    float64 `json:"allocs_per_op"`
-	Clone          string  `json:"clone"`
-	CloneNsPerOp   float64 `json:"clone_ns_per_op"`
-	SpeedupVsClone float64 `json:"speedup_vs_clone"`
-}
-
-// cloneTwin maps a delta-commit benchmark name to its full-clone
-// counterpart by replacing the exact "delta" path segment with "clone".
-func cloneTwin(name string) string { return twinName(name, "delta", "clone") }
-
-// buildApplies extracts every delta benchmark that has a clone twin in the
-// same result set, sorted by name for a stable artifact.
-func buildApplies(results map[string]*result) []applyCmp {
-	var out []applyCmp
-	for name, res := range results {
-		twin := cloneTwin(name)
-		if twin == "" {
-			continue
-		}
-		tr, ok := results[twin]
-		if !ok {
-			continue
-		}
-		dm, cm := median(res.nsOp), median(tr.nsOp)
-		if math.IsNaN(dm) || math.IsNaN(cm) || dm == 0 {
-			continue
-		}
-		out = append(out, applyCmp{
-			Name:           name,
-			NsPerOp:        dm,
-			AllocsPerOp:    median(res.allocsOp),
-			Clone:          twin,
-			CloneNsPerOp:   cm,
-			SpeedupVsClone: cm / dm,
-		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
 // renderMarkdown formats the gate verdict, the regression table and the
-// speedup tables for a CI job summary.
-func renderMarkdown(w io.Writer, deltas []delta, speedups []speedup, anytimes []anytime, applies []applyCmp, fasterErrs []string, threshold float64) {
+// twin table for a CI job summary.
+func renderMarkdown(w io.Writer, deltas []delta, twins []twin, fasterErrs []string, threshold float64) {
 	failed := len(fasterErrs)
 	for _, d := range deltas {
 		if d.regessed {
@@ -373,24 +297,15 @@ func renderMarkdown(w io.Writer, deltas []delta, speedups []speedup, anytimes []
 			fmt.Fprintf(w, "| %s | %.0f | %.0f | %+.1f%% | %s |\n", d.name, d.oldNs, d.newNs, d.ratio*100, verdict)
 		}
 	}
-	if len(speedups) > 0 {
-		fmt.Fprintf(w, "\n| vector benchmark | ns/op | allocs/op | scalar ns/op | speedup |\n|---|---:|---:|---:|---:|\n")
-		for _, s := range speedups {
-			fmt.Fprintf(w, "| %s | %.0f | %.0f | %.0f | %.2fx |\n", s.Name, s.NsPerOp, s.AllocsPerOp, s.ScalarNsPerOp, s.SpeedupVsScalar)
-		}
-	}
-	if len(anytimes) > 0 {
-		fmt.Fprintf(w, "\n| adaptive benchmark | ns/op | samples/op | fixed ns/op | speedup | budget saved |\n|---|---:|---:|---:|---:|---:|\n")
-		for _, a := range anytimes {
-			fmt.Fprintf(w, "| %s | %.0f | %.0f | %.0f | %.2fx | %.0f%% |\n",
-				a.Name, a.NsPerOp, a.SamplesPerOp, a.FixedNsPerOp, a.SpeedupVsFixed, a.SamplesSavedFrac*100)
-		}
-	}
-	if len(applies) > 0 {
-		fmt.Fprintf(w, "\n| delta benchmark | ns/op | allocs/op | clone ns/op | speedup |\n|---|---:|---:|---:|---:|\n")
-		for _, a := range applies {
-			fmt.Fprintf(w, "| %s | %.0f | %.0f | %.0f | %.2fx |\n",
-				a.Name, a.NsPerOp, a.AllocsPerOp, a.CloneNsPerOp, a.SpeedupVsClone)
+	if len(twins) > 0 {
+		fmt.Fprintf(w, "\n| benchmark | twin | ns/op | allocs/op | twin ns/op | speedup | samples/op | budget saved |\n|---|---|---:|---:|---:|---:|---:|---:|\n")
+		for _, t := range twins {
+			samples, saved := "", ""
+			if t.TwinSamplesPerOp > 0 {
+				samples, saved = fmt.Sprintf("%.0f", t.SamplesPerOp), fmt.Sprintf("%.0f%%", t.SamplesSavedFrac*100)
+			}
+			fmt.Fprintf(w, "| %s | %s | %.0f | %.0f | %.0f | %.2fx | %s | %s |\n",
+				t.Name, t.Twin, t.NsPerOp, t.AllocsPerOp, t.TwinNsPerOp, t.Speedup, samples, saved)
 		}
 	}
 }
@@ -407,9 +322,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	oldPath := fs.String("old", "", "baseline bench output (optional; enables the regression gate)")
 	newPath := fs.String("new", "", "bench output under test (required)")
 	threshold := fs.Float64("threshold", 0.10, "fail when a benchmark's median ns/op regresses by more than this fraction")
-	jsonPath := fs.String("speedup-json", "", "write the mcvec-vs-mc speedup artifact to this path")
-	anytimePath := fs.String("anytime-json", "", "write the adaptive-vs-fixed anytime artifact to this path")
-	applyPath := fs.String("apply-json", "", "write the delta-vs-clone mutation-commit artifact to this path")
+	twinsPath := fs.String("twins-json", "", "write the benchmark-vs-twin artifact (mcvec vs mc, adaptive vs fixed, delta vs clone) to this path")
 	mdPath := fs.String("markdown", "", "write a markdown summary to this path ('-' for stdout)")
 	var fasters multiFlag
 	fs.Var(&fasters, "faster", "assert benchmark A is faster than B on the new results, as 'A<B' (repeatable)")
@@ -460,44 +373,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	speedups := buildSpeedups(newRes)
-	if *jsonPath != "" {
+	twins := buildTwins(newRes)
+	if *twinsPath != "" {
 		buf, err := json.MarshalIndent(struct {
-			Benchmarks []speedup `json:"benchmarks"`
-		}{speedups}, "", "  ")
+			Benchmarks []twin `json:"benchmarks"`
+		}{twins}, "", "  ")
 		if err == nil {
-			err = os.WriteFile(*jsonPath, append(buf, '\n'), 0o644)
+			err = os.WriteFile(*twinsPath, append(buf, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintf(stderr, "benchgate: writing %s: %v\n", *jsonPath, err)
-			return 2
-		}
-	}
-
-	anytimes := buildAnytimes(newRes)
-	if *anytimePath != "" {
-		buf, err := json.MarshalIndent(struct {
-			Benchmarks []anytime `json:"benchmarks"`
-		}{anytimes}, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*anytimePath, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "benchgate: writing %s: %v\n", *anytimePath, err)
-			return 2
-		}
-	}
-
-	applies := buildApplies(newRes)
-	if *applyPath != "" {
-		buf, err := json.MarshalIndent(struct {
-			Benchmarks []applyCmp `json:"benchmarks"`
-		}{applies}, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*applyPath, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(stderr, "benchgate: writing %s: %v\n", *applyPath, err)
+			fmt.Fprintf(stderr, "benchgate: writing %s: %v\n", *twinsPath, err)
 			return 2
 		}
 	}
@@ -513,7 +398,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			defer f.Close()
 			out = f
 		}
-		renderMarkdown(out, deltas, speedups, anytimes, applies, fasterErrs, *threshold)
+		renderMarkdown(out, deltas, twins, fasterErrs, *threshold)
 	}
 
 	failed := false

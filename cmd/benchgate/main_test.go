@@ -143,124 +143,101 @@ func TestCheckFaster(t *testing.T) {
 	}
 }
 
-func TestCloneTwin(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkApply/delta/b16":  "BenchmarkApply/clone/b16",
-		"BenchmarkApply/clone/b16":  "", // already clone
-		"BenchmarkX/deltaish/other": "", // substring must not match
-	}
-	for in, want := range cases {
-		if got := cloneTwin(in); got != want {
-			t.Errorf("cloneTwin(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestBuildApplies(t *testing.T) {
+// TestTwins: one case per twin rule — the name mapping (exact path
+// segments only) and the artifact entry built from sampleOld.
+func TestTwins(t *testing.T) {
 	res := parse(t, sampleOld)
-	as := buildApplies(res)
-	if len(as) != 1 {
-		t.Fatalf("want 1 apply entry, got %+v", as)
-	}
-	a := as[0]
-	if a.Name != "BenchmarkApply/delta/b1" || a.Clone != "BenchmarkApply/clone/b1" {
-		t.Fatalf("wrong pairing: %+v", a)
-	}
-	if want := 90000.0 / 10000.0; a.SpeedupVsClone != want {
-		t.Fatalf("speedup = %v, want %v", a.SpeedupVsClone, want)
-	}
-	if a.AllocsPerOp != 26 {
-		t.Fatalf("allocs = %v, want 26", a.AllocsPerOp)
-	}
-}
-
-func TestFixedTwin(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkAnytimeEstimate/adaptive/p0.02": "BenchmarkAnytimeEstimate/fixed/p0.02",
-		"BenchmarkAnytimeEstimate/fixed/p0.02":    "", // already fixed
-		"BenchmarkSomething/adaptively/odd":       "", // substring must not match
-	}
-	for in, want := range cases {
-		if got := fixedTwin(in); got != want {
-			t.Errorf("fixedTwin(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestBuildAnytimes(t *testing.T) {
-	res := parse(t, sampleOld)
-	as := buildAnytimes(res)
-	if len(as) != 1 {
-		t.Fatalf("want 1 anytime entry, got %+v", as)
-	}
-	a := as[0]
-	if a.Name != "BenchmarkAnytimeEstimate/adaptive/p0.02" || a.Fixed != "BenchmarkAnytimeEstimate/fixed/p0.02" {
-		t.Fatalf("wrong pairing: %+v", a)
-	}
-	if want := 130000000.0 / 2000000.0; a.SpeedupVsFixed != want {
-		t.Fatalf("speedup = %v, want %v", a.SpeedupVsFixed, want)
-	}
-	if want := 1 - 1280.0/65536.0; a.SamplesSavedFrac != want {
-		t.Fatalf("samples saved = %v, want %v", a.SamplesSavedFrac, want)
-	}
-	// An adaptive benchmark without the samples/op metric is skipped: the
-	// artifact never reports a saving it cannot compute.
+	// A pair without the samples/op metric never reports a saving it
+	// cannot compute, so the adaptive rule skips it.
 	bare := parse(t, "BenchmarkX/adaptive/p1-4 10 100 ns/op\nBenchmarkX/fixed/p1-4 10 900 ns/op\n")
-	if as := buildAnytimes(bare); len(as) != 0 {
-		t.Fatalf("metric-less pair produced an entry: %+v", as)
+	cases := []struct {
+		rule   twinRule
+		names  map[string]string // benchmark name -> twin name ("" = none)
+		want   twin
+		noTwin map[string]*result // results in which the rule finds no pair
+	}{
+		{
+			rule: twinRules[0],
+			names: map[string]string{
+				"BenchmarkVectorMC/from/mcvec/n256":        "BenchmarkVectorMC/from/mc/n256",
+				"BenchmarkCSRvsLegacy/mcvec/csr/n2048":     "BenchmarkCSRvsLegacy/mc/csr/n2048",
+				"BenchmarkParallelReliability/mcvec/w4":    "BenchmarkParallelReliability/mc/w4",
+				"BenchmarkVectorMC/from/mc/n256":           "", // already scalar
+				"BenchmarkFreeze/n256":                     "",
+				"BenchmarkSomething/mcvectors/odd-segment": "", // substring must not match
+			},
+			want: twin{Name: "BenchmarkVectorMC/st/mcvec/n256", Twin: "BenchmarkVectorMC/st/mc/n256",
+				NsPerOp: 20000, AllocsPerOp: 0, TwinNsPerOp: 100000, Speedup: 100000.0 / 20000.0},
+		},
+		{
+			rule: twinRules[1],
+			names: map[string]string{
+				"BenchmarkAnytimeEstimate/adaptive/p0.02": "BenchmarkAnytimeEstimate/fixed/p0.02",
+				"BenchmarkAnytimeEstimate/fixed/p0.02":    "", // already fixed
+				"BenchmarkSomething/adaptively/odd":       "", // substring must not match
+			},
+			want: twin{Name: "BenchmarkAnytimeEstimate/adaptive/p0.02", Twin: "BenchmarkAnytimeEstimate/fixed/p0.02",
+				NsPerOp: 2000000, AllocsPerOp: 9, TwinNsPerOp: 130000000, Speedup: 130000000.0 / 2000000.0,
+				SamplesPerOp: 1280, TwinSamplesPerOp: 65536, SamplesSavedFrac: 1 - 1280.0/65536.0},
+			noTwin: bare,
+		},
+		{
+			rule: twinRules[2],
+			names: map[string]string{
+				"BenchmarkApply/delta/b16":  "BenchmarkApply/clone/b16",
+				"BenchmarkApply/clone/b16":  "", // already clone
+				"BenchmarkX/deltaish/other": "", // substring must not match
+			},
+			want: twin{Name: "BenchmarkApply/delta/b1", Twin: "BenchmarkApply/clone/b1",
+				NsPerOp: 10000, AllocsPerOp: 26, TwinNsPerOp: 90000, Speedup: 90000.0 / 10000.0},
+		},
 	}
-}
-
-func TestScalarTwin(t *testing.T) {
-	cases := map[string]string{
-		"BenchmarkVectorMC/from/mcvec/n256":        "BenchmarkVectorMC/from/mc/n256",
-		"BenchmarkCSRvsLegacy/mcvec/csr/n2048":     "BenchmarkCSRvsLegacy/mc/csr/n2048",
-		"BenchmarkParallelReliability/mcvec/w4":    "BenchmarkParallelReliability/mc/w4",
-		"BenchmarkVectorMC/from/mc/n256":           "", // already scalar
-		"BenchmarkFreeze/n256":                     "",
-		"BenchmarkSomething/mcvectors/odd-segment": "", // substring must not match
+	twins := buildTwins(res)
+	if len(twins) != len(cases) {
+		t.Fatalf("want %d twin entries, got %+v", len(cases), twins)
 	}
-	for in, want := range cases {
-		if got := scalarTwin(in); got != want {
-			t.Errorf("scalarTwin(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
-func TestBuildSpeedups(t *testing.T) {
-	res := parse(t, sampleOld)
-	sp := buildSpeedups(res)
-	if len(sp) != 1 {
-		t.Fatalf("want 1 speedup entry, got %+v", sp)
-	}
-	s := sp[0]
-	if s.Name != "BenchmarkVectorMC/st/mcvec/n256" || s.Scalar != "BenchmarkVectorMC/st/mc/n256" {
-		t.Fatalf("wrong pairing: %+v", s)
-	}
-	if want := 100000.0 / 20000.0; s.SpeedupVsScalar != want {
-		t.Fatalf("speedup = %v, want %v", s.SpeedupVsScalar, want)
-	}
-	if s.AllocsPerOp != 0 {
-		t.Fatalf("allocs = %v, want 0", s.AllocsPerOp)
+	for _, tc := range cases {
+		t.Run(tc.rule.from, func(t *testing.T) {
+			for in, want := range tc.names {
+				if got := twinName(in, tc.rule.from, tc.rule.to); got != want {
+					t.Errorf("twinName(%q) = %q, want %q", in, got, want)
+				}
+			}
+			found := false
+			for _, tw := range twins {
+				if tw.Name == tc.want.Name {
+					found = true
+					if tw != tc.want {
+						t.Errorf("entry %+v, want %+v", tw, tc.want)
+					}
+				}
+			}
+			if !found {
+				t.Errorf("no entry for %s in %+v", tc.want.Name, twins)
+			}
+			if tc.noTwin != nil {
+				if got := buildTwins(tc.noTwin); len(got) != 0 {
+					t.Errorf("unpairable results produced entries: %+v", got)
+				}
+			}
+		})
 	}
 }
 
 func TestRenderMarkdown(t *testing.T) {
 	old, new := parse(t, sampleOld), parse(t, sampleNew)
 	ds := compare(old, new, 0.10)
-	sp := buildSpeedups(new)
-	as := buildAnytimes(new)
-	ap := buildApplies(new)
+	tw := buildTwins(new)
 	var buf bytes.Buffer
-	renderMarkdown(&buf, ds, sp, as, ap, nil, 0.10)
+	renderMarkdown(&buf, ds, tw, nil, 0.10)
 	out := buf.String()
-	for _, want := range []string{"Bench gate: PASS", "BenchmarkVectorMC/st/mc/n256", "speedup", "| ok |", "budget saved", "98%", "clone ns/op", "BenchmarkApply/delta/b1"} {
+	for _, want := range []string{"Bench gate: PASS", "BenchmarkVectorMC/st/mc/n256", "speedup", "| ok |", "budget saved", "98%", "twin ns/op", "BenchmarkApply/delta/b1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("markdown missing %q in:\n%s", want, out)
 		}
 	}
 	buf.Reset()
-	renderMarkdown(&buf, ds, sp, as, ap, []string{"boom"}, 0.10)
+	renderMarkdown(&buf, ds, tw, []string{"boom"}, 0.10)
 	if out := buf.String(); !strings.Contains(out, "FAIL") || !strings.Contains(out, "boom") {
 		t.Errorf("failing markdown wrong:\n%s", out)
 	}
@@ -272,9 +249,7 @@ func TestRunEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "old.txt")
 	newPath := filepath.Join(dir, "new.txt")
-	jsonPath := filepath.Join(dir, "BENCH_mcvec.json")
-	anytimePath := filepath.Join(dir, "BENCH_anytime.json")
-	applyPath := filepath.Join(dir, "BENCH_apply.json")
+	twinsPath := filepath.Join(dir, "BENCH_twins.json")
 	mdPath := filepath.Join(dir, "summary.md")
 	if err := os.WriteFile(oldPath, []byte(sampleOld), 0o644); err != nil {
 		t.Fatal(err)
@@ -289,53 +264,35 @@ func TestRunEndToEnd(t *testing.T) {
 		"-faster", "BenchmarkParallelReliability/mc/w4<BenchmarkParallelReliability/mc/w1",
 		"-faster", "BenchmarkAnytimeEstimate/adaptive/p0.02<BenchmarkAnytimeEstimate/fixed/p0.02",
 		"-faster", "BenchmarkApply/delta/b1<BenchmarkApply/clone/b1@5",
-		"-speedup-json", jsonPath, "-anytime-json", anytimePath, "-apply-json", applyPath,
+		"-twins-json", twinsPath,
 		"-markdown", mdPath,
 	}, &stdout, &stderr)
 	if code != 0 {
 		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
 	}
-	raw, err := os.ReadFile(jsonPath)
+	raw, err := os.ReadFile(twinsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var artifact struct {
-		Benchmarks []speedup `json:"benchmarks"`
+		Benchmarks []twin `json:"benchmarks"`
 	}
 	if err := json.Unmarshal(raw, &artifact); err != nil {
 		t.Fatalf("artifact not valid JSON: %v", err)
 	}
-	if len(artifact.Benchmarks) != 1 || artifact.Benchmarks[0].SpeedupVsScalar < 5 {
-		t.Fatalf("artifact content wrong: %+v", artifact.Benchmarks)
+	if len(artifact.Benchmarks) != 3 {
+		t.Fatalf("want one entry per twin rule, got %+v", artifact.Benchmarks)
 	}
-	raw, err = os.ReadFile(anytimePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var anytimeArtifact struct {
-		Benchmarks []anytime `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &anytimeArtifact); err != nil {
-		t.Fatalf("anytime artifact not valid JSON: %v", err)
-	}
-	if len(anytimeArtifact.Benchmarks) != 1 || anytimeArtifact.Benchmarks[0].SamplesSavedFrac < 0.9 {
-		t.Fatalf("anytime artifact content wrong: %+v", anytimeArtifact.Benchmarks)
+	for _, tw := range artifact.Benchmarks {
+		if tw.Speedup < 5 {
+			t.Errorf("artifact entry %s: speedup %v, want >= 5", tw.Name, tw.Speedup)
+		}
+		if strings.Contains(tw.Name, "/adaptive/") && tw.SamplesSavedFrac < 0.9 {
+			t.Errorf("anytime entry saved %v of the budget, want >= 0.9", tw.SamplesSavedFrac)
+		}
 	}
 	if md, err := os.ReadFile(mdPath); err != nil || !strings.Contains(string(md), "Bench gate: PASS") {
 		t.Fatalf("summary wrong (%v):\n%s", err, md)
-	}
-	raw, err = os.ReadFile(applyPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var applyArtifact struct {
-		Benchmarks []applyCmp `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &applyArtifact); err != nil {
-		t.Fatalf("apply artifact not valid JSON: %v", err)
-	}
-	if len(applyArtifact.Benchmarks) != 1 || applyArtifact.Benchmarks[0].SpeedupVsClone < 5 {
-		t.Fatalf("apply artifact content wrong: %+v", applyArtifact.Benchmarks)
 	}
 
 	// A factor the new results cannot meet must fail the gate.

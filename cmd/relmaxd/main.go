@@ -1,9 +1,9 @@
 // Command relmaxd serves reliability-maximization and reliability-
 // estimation queries over HTTP/JSON: a Catalog of datasets, each served by
-// a long-lived Engine (versioned CSR snapshots + warm sampler pool +
-// epoch-aware result cache), every query a job on a bounded worker queue
-// (load shedding with 503 when full), per-request timeouts, cooperative
-// cancellation, and graceful shutdown. Datasets named on the command line
+// a long-lived Engine (versioned CSR snapshots + epoch-aware result
+// cache), every query a job on a bounded worker queue (load shedding with
+// 503 when full), per-request timeouts, cooperative cancellation, and
+// graceful shutdown. Datasets named on the command line
 // seed the catalog; more are created, mutated and closed at runtime via
 // the /v2/datasets endpoints.
 //

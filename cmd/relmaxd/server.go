@@ -69,7 +69,7 @@ type limits struct {
 	// MaxMutations caps a /v2 mutation batch.
 	MaxMutations int
 	// MaxDatasets caps how many datasets the catalog serves at once: every
-	// dataset pins a full engine (graph clone, CSR, sampler pool, cache),
+	// dataset pins a full engine (graph clone, CSR, cache),
 	// so unbounded POST /v2/datasets would be an OOM lever. Enforced by
 	// the catalog itself (Catalog.SetMaxDatasets, applied in newServer),
 	// which counts in-flight builds too — concurrent creates cannot

@@ -22,8 +22,8 @@
 // # Quick start: the Engine
 //
 // Engine is the primary entry point: built once per dataset, it pins an
-// immutable CSR snapshot of the graph and a reusable sampler pool, and
-// serves concurrent, cancellable queries:
+// immutable CSR snapshot of the graph and serves concurrent, cancellable
+// queries, leasing samplers from one warm pool per estimator kind:
 //
 //	g := repro.NewGraph(4, false)
 //	g.MustAddEdge(2, 1, 0.9)

@@ -13,13 +13,14 @@ import (
 
 // Engine is the context-first entry point for serving reliability
 // maximization and estimation queries over one uncertain graph. Where the
-// legacy free functions re-freeze state and rebuild sampler pools on every
-// call, an Engine is built once per dataset and pins:
-//
-//   - the graph's frozen CSR snapshot — an immutable copy, so callers may
-//     keep mutating their graph — shared read-only by all queries, and
-//   - a warm pool of per-worker serial samplers (when Workers != 0),
-//     leased per request so repeated queries reuse scratch memory.
+// legacy free functions re-freeze the graph on every call, an Engine is
+// built once per dataset and pins the graph's frozen CSR snapshot — an
+// immutable copy, so callers may keep mutating their graph — shared
+// read-only by all queries. Samplers are not engine state: the parallel
+// estimators, the serial estimate batches and the anytime controller lease
+// their per-worker serial samplers from the sampling package's warm pool
+// for the requested estimator kind, so repeated queries of every kind
+// reuse scratch memory.
 //
 // The graph is mutable behind versioned snapshots: Apply commits a batch
 // of mutations by layering the next epoch over the current snapshot
@@ -58,9 +59,8 @@ type Engine struct {
 	// would otherwise lose one batch.
 	applyMu sync.Mutex
 
-	opt     Options // defaults template; Sampler/Z/Seed resolved at build
-	method  Method
-	scratch *sampling.SharedScratch
+	opt    Options // defaults template; Sampler/Z/Seed resolved at build
+	method Method
 
 	// id numbers the engine process-wide; job IDs embed it so they stay
 	// unique when one server hosts several engines.
@@ -199,9 +199,8 @@ func WithQueueDepth(n int) EngineOption {
 }
 
 // NewEngine builds a query engine over g: the graph is frozen once (the
-// snapshot shares nothing mutable with g), the sampler configuration
-// validated, and (for Workers != 0) the shared sampler pool created. On
-// error the returned engine is nil.
+// snapshot shares nothing mutable with g) and the sampler configuration
+// validated. On error the returned engine is nil.
 func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	if g == nil {
 		return nil, fmt.Errorf("repro: NewEngine: nil graph: %w", ErrBadQuery)
@@ -222,11 +221,9 @@ func NewEngine(g *Graph, opts ...EngineOption) (*Engine, error) {
 	if e.opt.Seed == 0 {
 		e.opt.Seed = 1
 	}
-	scratch, err := sampling.NewSharedScratch(e.opt.Sampler)
-	if err != nil {
+	if !sampling.KnownKind(e.opt.Sampler) {
 		return nil, fmt.Errorf("repro: NewEngine: sampler %q (want mc, rss, lazy or mcvec): %w", e.opt.Sampler, ErrUnknownSampler)
 	}
-	e.scratch = scratch
 	if e.maxConcurrent <= 0 {
 		e.maxConcurrent = runtime.GOMAXPROCS(0)
 	}
@@ -269,9 +266,7 @@ func (e *Engine) Epoch() uint64 { return e.snap.Load().Epoch() }
 // options resolves the effective Options for one request: nil uses the
 // engine defaults; a non-nil override is taken as-is except that zero
 // Sampler/Z/Seed/Workers inherit the engine configuration (so overriding
-// K or Zeta does not silently change the estimator). The engine's warm
-// sampler pool is attached whenever the parallel path will run with a
-// matching estimator kind.
+// K or Zeta does not silently change the estimator).
 func (e *Engine) options(req *Options) Options {
 	opt := e.opt
 	if req != nil {
@@ -288,11 +283,6 @@ func (e *Engine) options(req *Options) Options {
 		if opt.Workers == 0 {
 			opt.Workers = e.opt.Workers
 		}
-	}
-	if opt.Workers != 0 && opt.Sampler == e.scratch.Kind() {
-		opt.Scratch = e.scratch
-	} else {
-		opt.Scratch = nil
 	}
 	return opt
 }

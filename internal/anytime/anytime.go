@@ -18,8 +18,8 @@
 // the same kind and seed truncated at the stop point. In sharded mode
 // (Workers != 0) the schedule is a fixed 16-shard round-robin — shard i
 // draws from rng.SplitSeed(seed, i), rounds hand every shard one 64-block
-// — so the result is bit-identical at any worker count >= 1, and equal to
-// a fixed-budget controller run (Precision 0) whose MaxZ is the adaptive
+// — so the result is bit-identical at any non-zero worker count, and equal
+// to a fixed-budget controller run (Precision 0) whose MaxZ is the adaptive
 // run's SamplesUsed. RSS, whose stratified recursion is not
 // prefix-continuable, estimates each block independently; its determinism
 // contract is the schedule-equivalence one, pinned the same way.
@@ -28,8 +28,6 @@ package anytime
 import (
 	"context"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 	"repro/internal/sampling"
@@ -100,9 +98,9 @@ type Config struct {
 	Seed int64
 	// Workers selects the execution mode: 0 runs one serial stream;
 	// any non-zero value runs the fixed 16-shard schedule on up to that
-	// many goroutines (<= 0 is impossible here; values above shardCount
-	// are clamped). Results in sharded mode are identical for every
-	// worker count.
+	// many goroutines (negative selects GOMAXPROCS; at most shardCount
+	// ever run). Results in sharded mode are identical for every worker
+	// count.
 	Workers int
 	// Confidence is the interval coverage in (0, 1); <= 0 selects
 	// DefaultConfidence.
@@ -170,15 +168,19 @@ func Run(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Es
 	return runSerial(ctx, c, s, t, cfg)
 }
 
-// newStream constructs a serial block sampler of the configured kind.
-// The construction-time budget is irrelevant — blocks carry their own
-// sizes — so it is set to BlockSize for the pathological case of the
-// sampler being used through its fixed-budget interface.
-func newStream(kind string, seed int64) (sampling.BlockSampler, error) {
-	smp, err := sampling.NewSerial(kind, BlockSize, seed)
+// lease takes a block sampler of the configured kind from the sampling
+// package's warm pool, reseeded so it draws exactly what a fresh sampler
+// of that seed would. Blocks carry their own sizes, so the fixed budget is
+// set to BlockSize only for the pathological case of the sampler being
+// used through its fixed-budget interface. The caller hands it back with
+// sampling.Release once its stream is abandoned.
+func lease(kind string, seed int64) (sampling.BlockSampler, error) {
+	smp, err := sampling.Lease(kind)
 	if err != nil {
 		return nil, err
 	}
+	smp.Reseed(seed)
+	smp.SetSampleSize(BlockSize)
 	return smp.(sampling.BlockSampler), nil
 }
 
@@ -203,10 +205,11 @@ func (cfg Config) stop(ctx context.Context, hits float64, drawn int) (Estimate, 
 }
 
 func runSerial(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Estimate, error) {
-	bs, err := newStream(cfg.Sampler, cfg.Seed)
+	bs, err := lease(cfg.Sampler, cfg.Seed)
 	if err != nil {
 		return Estimate{}, err
 	}
+	defer sampling.Release(bs)
 	stream := bs.BeginBlocks(c, s, t)
 	hits, drawn, blocks := 0.0, 0, 0
 	for {
@@ -244,20 +247,20 @@ func runSerial(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Confi
 // identical whichever condition fired — the prefix property the
 // differential tests pin.
 func runSharded(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Estimate, error) {
+	leased := make([]sampling.BlockSampler, 0, shardCount)
+	defer func() {
+		for _, bs := range leased {
+			sampling.Release(bs)
+		}
+	}()
 	streams := make([]sampling.BlockStream, shardCount)
 	for i := range streams {
-		bs, err := newStream(cfg.Sampler, rng.SplitSeed(cfg.Seed, int64(i)))
+		bs, err := lease(cfg.Sampler, rng.SplitSeed(cfg.Seed, int64(i)))
 		if err != nil {
 			return Estimate{}, err
 		}
+		leased = append(leased, bs)
 		streams[i] = bs.BeginBlocks(c, s, t)
-	}
-	workers := cfg.Workers
-	if workers < 0 {
-		workers = shardCount
-	}
-	if workers > shardCount {
-		workers = shardCount
 	}
 	hits := make([]float64, shardCount)
 	drawnBy := make([]int, shardCount)
@@ -275,7 +278,16 @@ func runSharded(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Conf
 			}
 			quota[i] = q
 		}
-		runRound(streams, quota, hits, drawnBy, workers)
+		// One round: shard i draws quota[i] samples on its own stream and
+		// accumulates into its own slot. Rounds always complete — the stop
+		// rules poll ctx between rounds — so the fan-out gets no context.
+		sampling.FanOut(context.Background(), cfg.Workers, shardCount, func(i int) {
+			if quota[i] > 0 {
+				h, d := streams[i].SampleBlock(quota[i])
+				hits[i] += h
+				drawnBy[i] += d
+			}
+		})
 		// Merge in fixed shard order; the sums are the same exact floats
 		// at any worker count because block hit counts are integer-valued
 		// (mc/lazy/mcvec) or per-shard-deterministic (rss) and the
@@ -300,41 +312,4 @@ func runSharded(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Conf
 			cfg.Progress(est)
 		}
 	}
-}
-
-// runRound draws one round: shard i's quota[i] samples on its own stream.
-// Work-stealing over the shard indices keeps results independent of the
-// worker count — each shard is touched by exactly one goroutine per round
-// and accumulates into its own slot.
-func runRound(streams []sampling.BlockStream, quota []int, hits []float64, drawn []int, workers int) {
-	if workers <= 1 {
-		for i, st := range streams {
-			if quota[i] > 0 {
-				h, d := st.SampleBlock(quota[i])
-				hits[i] += h
-				drawn[i] += d
-			}
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(streams) {
-					return
-				}
-				if quota[i] > 0 {
-					h, d := streams[i].SampleBlock(quota[i])
-					hits[i] += h
-					drawn[i] += d
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }

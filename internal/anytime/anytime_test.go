@@ -118,7 +118,7 @@ func TestAdaptiveIsControllerPrefix(t *testing.T) {
 
 // TestShardedInvariantAcrossWorkers: in sharded mode the worker count is
 // pure scheduling — every field of the Estimate must be identical at any
-// worker count >= 1.
+// non-zero worker count.
 func TestShardedInvariantAcrossWorkers(t *testing.T) {
 	r := rng.New(29)
 	for _, kind := range allKinds {
@@ -126,7 +126,7 @@ func TestShardedInvariantAcrossWorkers(t *testing.T) {
 		c := g.Freeze()
 		s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
 		var want Estimate
-		for i, workers := range []int{1, 2, 4, 16} {
+		for i, workers := range []int{1, 2, 4, 16, -1} {
 			est, err := Run(context.Background(), c, s, tt, Config{
 				Sampler: kind, Precision: 0.03, MaxZ: 1 << 14, Seed: 5, Workers: workers,
 			})

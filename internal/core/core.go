@@ -114,13 +114,6 @@ type Options struct {
 	// worker count, fixes the randomness), but differ from Workers == 0
 	// because the serial samplers draw one undivided stream.
 	Workers int
-	// Scratch, when non-nil and built for the same Sampler kind, lets the
-	// parallel samplers lease their per-worker serial samplers from a
-	// shared warm pool instead of a cold per-solve one. A long-lived
-	// Engine sets this so repeated queries reuse sampler scratch memory;
-	// it never affects results. Ignored when Workers == 0 or the kinds
-	// mismatch.
-	Scratch *sampling.SharedScratch
 	// Progress, when non-nil, receives solver progress notifications
 	// (stage boundaries and per-round selection progress). Callbacks run
 	// inline on the solving goroutine and cannot perturb results.
@@ -181,33 +174,11 @@ func (o Options) Normalized() Options { return o.withDefaults() }
 // With Workers != 0 the estimator is a sampling.ParallelSampler (which also
 // implements sampling.BatchSampler, unlocking the batched hot paths in
 // candidate elimination and greedy selection), leasing its workers from
-// opt.Scratch when one of the matching kind is supplied.
+// the kind's warm pool.
 func (o Options) NewSampler(ctx context.Context, stream int64) (sampling.CSRSampler, error) {
-	seed := rng.Split(o.Seed, stream).Int63()
-	var smp sampling.CSRSampler
-	if o.Workers != 0 {
-		if o.Scratch != nil && o.Scratch.Kind() == o.Sampler {
-			smp = sampling.NewParallelShared(o.Scratch, o.Z, seed, o.Workers)
-		} else {
-			ps, err := sampling.NewParallel(o.Sampler, o.Z, seed, o.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("core: sampler %q (want mc, rss, lazy or mcvec): %w", o.Sampler, ErrUnknownSampler)
-			}
-			smp = ps
-		}
-	} else {
-		switch o.Sampler {
-		case "mc":
-			smp = sampling.NewMonteCarlo(o.Z, seed)
-		case "rss":
-			smp = sampling.NewRSS(o.Z, seed)
-		case "lazy":
-			smp = sampling.NewLazy(o.Z, seed)
-		case "mcvec":
-			smp = sampling.NewMCVec(o.Z, seed)
-		default:
-			return nil, fmt.Errorf("core: sampler %q (want mc, rss, lazy or mcvec): %w", o.Sampler, ErrUnknownSampler)
-		}
+	smp, err := sampling.New(o.Sampler, o.Z, rng.Split(o.Seed, stream).Int63(), o.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: sampler %q (want mc, rss, lazy or mcvec): %w", o.Sampler, ErrUnknownSampler)
 	}
 	smp.SetContext(ctx)
 	return smp, nil

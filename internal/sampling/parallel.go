@@ -1,9 +1,7 @@
 package sampling
 
 import (
-	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/rng"
@@ -19,82 +17,24 @@ import (
 // goroutines race over them.
 const DefaultShards = 16
 
-// Factory constructs a fresh serial sampler; the budget and seed handed to
-// it are placeholders, overwritten per shard via SetSampleSize and Reseed.
-// The pool runs entirely on frozen snapshots, so a factory builds a
-// CSRSampler (every built-in kind is one).
-type Factory func(z int, seed int64) CSRSampler
-
 // ParallelSampler runs a serial estimator's sample budget across a worker
 // pool. It is safe for concurrent use: every public call runs on one frozen
-// CSR snapshot (the Graph-taking methods freeze once), atomically claims a call index (which
-// decorrelates successive calls, mirroring the advancing RNG state of a
-// serial sampler), takes per-worker serial samplers from an internal pool,
-// and merges per-shard results in a fixed order. For a given seed the i-th
-// call returns bit-identical results at any worker count; concurrent
-// callers are race-free but observe call indices in arrival order.
+// CSR snapshot (the Graph-taking methods freeze once), atomically claims a
+// call index (which decorrelates successive calls, mirroring the advancing
+// RNG state of a serial sampler), leases per-item serial samplers from the
+// kind's package-wide warm pool, and merges per-shard results in a fixed
+// order. For a given seed the i-th call returns bit-identical results at
+// any worker count; concurrent callers are race-free but observe call
+// indices in arrival order. Constructing one is cheap — it owns no
+// samplers — so callers build one per request.
 type ParallelSampler struct {
 	name    string
-	factory Factory
+	kind    *samplerKind
 	workers int
-	shards  int
-	// quantum is the underlying estimator's preferred budget granularity
-	// (64 for mcvec's lane blocks, 1 for the scalar kinds): shard budgets
-	// are multiples of it except the last, which absorbs the tail.
-	quantum int
 	seed    atomic.Int64
 	z       atomic.Int64
 	call    atomic.Int64
-	// pool leases the per-worker serial samplers. It is a pointer so that
-	// request-scoped ParallelSamplers derived by an Engine can share one
-	// warm pool (NewParallelShared) — the leased samplers' scratch arrays
-	// stay sized to the graph across requests instead of being rebuilt.
-	pool *sync.Pool
 	canceller
-}
-
-// factoryFor maps an estimator kind ("mc", "rss", "lazy" or "mcvec") to
-// its serial factory.
-func factoryFor(kind string) (Factory, error) {
-	switch kind {
-	case "mc":
-		return func(z int, seed int64) CSRSampler { return NewMonteCarlo(z, seed) }, nil
-	case "rss":
-		return func(z int, seed int64) CSRSampler { return NewRSS(z, seed) }, nil
-	case "lazy":
-		return func(z int, seed int64) CSRSampler { return NewLazy(z, seed) }, nil
-	case "mcvec":
-		return func(z int, seed int64) CSRSampler { return NewMCVec(z, seed) }, nil
-	default:
-		return nil, fmt.Errorf("sampling: unknown sampler %q (want mc, rss, lazy or mcvec)", kind)
-	}
-}
-
-// KnownKind reports whether kind names a built-in estimator ("mc", "rss",
-// "lazy" or "mcvec") — the validation the Engine's query canonicalization
-// uses to reject unknown sampler overrides before any work is queued.
-func KnownKind(kind string) bool {
-	_, err := factoryFor(kind)
-	return err == nil
-}
-
-// budgetQuantizer is implemented by estimators whose work comes in fixed
-// sample-count blocks (MCVec's 64 lane worlds): ParallelSampler aligns
-// shard budgets to the quantum so interior shards run whole blocks and only
-// the final shard carries the z % quantum tail.
-type budgetQuantizer interface {
-	budgetQuantum() int
-}
-
-// quantumOf probes a factory for the estimator's budget quantum (1 for the
-// scalar samplers). The probe sampler is returned to the caller for pool
-// seeding so the construction-time allocation is not wasted.
-func quantumOf(factory Factory) (int, CSRSampler) {
-	probe := factory(1, 0)
-	if q, ok := probe.(budgetQuantizer); ok {
-		return q.budgetQuantum(), probe
-	}
-	return 1, probe
 }
 
 // NewSerial constructs a serial sampler of the named kind ("mc", "rss",
@@ -102,85 +42,44 @@ func quantumOf(factory Factory) (int, CSRSampler) {
 // error the returned interface is nil (never a typed-nil concrete pointer),
 // so `smp == nil` is a valid failure check.
 func NewSerial(kind string, z int, seed int64) (CSRSampler, error) {
-	factory, err := factoryFor(kind)
+	k, err := lookup(kind)
 	if err != nil {
 		return nil, err
 	}
-	return factory(z, seed), nil
+	return k.new(z, seed), nil
 }
 
 // NewParallel wraps the named estimator kind ("mc", "rss", "lazy" or
 // "mcvec") in a ParallelSampler with total budget z. workers <= 0 selects
 // runtime.GOMAXPROCS(0).
 func NewParallel(kind string, z int, seed int64, workers int) (*ParallelSampler, error) {
-	factory, err := factoryFor(kind)
+	k, err := lookup(kind)
 	if err != nil {
 		return nil, err
 	}
-	return NewParallelWith(kind, factory, z, seed, workers), nil
-}
-
-// NewParallelWith wraps an arbitrary serial-sampler factory. The name is
-// what Name() reports (conventionally the underlying estimator's name).
-func NewParallelWith(name string, factory Factory, z int, seed int64, workers int) *ParallelSampler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	ps := &ParallelSampler{name: name, factory: factory, workers: workers, shards: DefaultShards}
+	ps := &ParallelSampler{name: kind, kind: k, workers: workers}
 	ps.seed.Store(seed)
 	ps.z.Store(int64(z))
-	quantum, probe := quantumOf(factory)
-	ps.quantum = quantum
-	ps.pool = &sync.Pool{New: func() any { return factory(1, 0) }}
-	ps.pool.Put(probe)
-	return ps
+	return ps, nil
 }
 
-// SharedScratch is a warm, goroutine-safe pool of serial samplers for one
-// estimator kind. ParallelSamplers built over it (NewParallelShared) lease
-// their per-worker samplers from the shared pool instead of a private one,
-// so a long-lived Engine serving many requests reuses the samplers' scratch
-// arrays (epoch-stamped visited/edge-state buffers, RSS arenas) across
-// requests. Sharing never affects results: every leased sampler is fully
-// reconfigured (Reseed + SetSampleSize + SetContext) before estimating.
-type SharedScratch struct {
-	kind    string
-	quantum int
-	pool    sync.Pool
-}
-
-// NewSharedScratch validates the estimator kind and returns an empty warm
-// pool for it.
-func NewSharedScratch(kind string) (*SharedScratch, error) {
-	factory, err := factoryFor(kind)
+// New constructs the estimator of the named kind with budget z: a serial
+// sampler when workers == 0, otherwise a ParallelSampler on that many
+// workers (negative selects GOMAXPROCS). The two draw different streams
+// for the same seed; see ParallelSampler. On error the returned interface
+// is nil.
+func New(kind string, z int, seed int64, workers int) (CSRSampler, error) {
+	if workers == 0 {
+		return NewSerial(kind, z, seed)
+	}
+	ps, err := NewParallel(kind, z, seed, workers)
 	if err != nil {
 		return nil, err
 	}
-	ss := &SharedScratch{kind: kind}
-	quantum, probe := quantumOf(factory)
-	ss.quantum = quantum
-	ss.pool.New = func() any { return factory(1, 0) }
-	ss.pool.Put(probe)
-	return ss, nil
-}
-
-// Kind returns the estimator kind the pool was built for.
-func (ss *SharedScratch) Kind() string { return ss.kind }
-
-// NewParallelShared is NewParallel leasing its serial samplers from the
-// shared pool; the pool's kind determines the estimator. Results are
-// bit-identical to an equally configured NewParallel sampler.
-func NewParallelShared(ss *SharedScratch, z int, seed int64, workers int) *ParallelSampler {
-	factory, err := factoryFor(ss.kind)
-	if err != nil {
-		// NewSharedScratch validated the kind; an invalid one here means
-		// the SharedScratch was not obtained from it.
-		panic(err)
-	}
-	ps := NewParallelWith(ss.kind, factory, z, seed, workers)
-	ps.pool = &ss.pool
-	ps.quantum = ss.quantum
-	return ps
+	return ps, nil
 }
 
 // Name implements Sampler.
@@ -212,64 +111,6 @@ func (ps *ParallelSampler) Reseed(seed int64) {
 // sequence reproducible end to end.
 func (ps *ParallelSampler) nextCallSeed() int64 {
 	return rng.SplitSeed(ps.seed.Load(), ps.call.Add(1))
-}
-
-// fanOut runs fn(smp, i) for i in [0, n) on up to ps.workers goroutines.
-// Each goroutine leases one serial sampler from the pool for its lifetime
-// and binds it to the ParallelSampler's context (cleared again before the
-// sampler returns to the — possibly shared — pool); fn must fully configure
-// it (Reseed + SetSampleSize) before estimating, so leftover pool state
-// never leaks into results. When the bound context fires, remaining work
-// items are skipped: the merged result is garbage, and the caller is
-// expected to discard it after observing ctx.Err().
-func (ps *ParallelSampler) fanOut(n int, fn func(smp CSRSampler, i int)) {
-	w := ps.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		smp := ps.lease()
-		for i := 0; i < n; i++ {
-			if ps.cancelled() {
-				break
-			}
-			fn(smp, i)
-		}
-		ps.release(smp)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			smp := ps.lease()
-			defer ps.release(smp)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ps.cancelled() {
-					return
-				}
-				fn(smp, i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// lease takes a serial sampler from the pool and binds the current context
-// so its sample loops abort promptly on cancellation.
-func (ps *ParallelSampler) lease() CSRSampler {
-	smp := ps.pool.Get().(CSRSampler)
-	smp.SetContext(ps.ctx)
-	return smp
-}
-
-// release unbinds the context and returns the sampler to the pool.
-func (ps *ParallelSampler) release(smp CSRSampler) {
-	smp.SetContext(nil)
-	ps.pool.Put(smp)
 }
 
 // minShardBudget is the smallest per-shard sample budget worth the fan-out
@@ -310,21 +151,18 @@ func (ps *ParallelSampler) shardBudgetsFor(z, items int) []int {
 	if items < 1 {
 		items = 1
 	}
-	q := ps.quantum
-	if q < 1 {
-		q = 1
-	}
+	q := ps.kind.quantum
 	blocks := (z + q - 1) / q
 	unit := minShardBudget / q
 	if unit < 1 {
 		unit = 1
 	}
 	shards := (blocks + unit - 1) / unit
-	if target := (ps.shards + items - 1) / items; shards > target {
+	if target := (DefaultShards + items - 1) / items; shards > target {
 		shards = target
 	}
-	if shards > ps.shards {
-		shards = ps.shards
+	if shards > DefaultShards {
+		shards = DefaultShards
 	}
 	out := make([]int, shards)
 	base, extra := blocks/shards, blocks%shards
@@ -360,7 +198,7 @@ func (ps *ParallelSampler) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) flo
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgets(z)
 	est := make([]float64, len(budgets))
-	ps.fanOut(len(budgets), func(smp CSRSampler, i int) {
+	ps.kind.fanOut(ps.ctx, ps.workers, len(budgets), func(smp CSRSampler, i int) {
 		smp.Reseed(rng.SplitSeed(callSeed, int64(i)))
 		smp.SetSampleSize(budgets[i])
 		est[i] = smp.ReliabilityCSR(c, s, t)
@@ -393,7 +231,7 @@ func (ps *ParallelSampler) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool
 	callSeed := ps.nextCallSeed()
 	budgets := ps.shardBudgets(z)
 	vecs := make([][]float64, len(budgets))
-	ps.fanOut(len(budgets), func(smp CSRSampler, i int) {
+	ps.kind.fanOut(ps.ctx, ps.workers, len(budgets), func(smp CSRSampler, i int) {
 		smp.Reseed(rng.SplitSeed(callSeed, int64(i)))
 		smp.SetSampleSize(budgets[i])
 		vecs[i] = shardVector(smp, c, src, forward)
@@ -463,7 +301,7 @@ func (ps *ParallelSampler) EstimateMany(c *ugraph.CSR, queries []PairQuery) []fl
 	budgets := ps.shardBudgetsFor(z, len(queries))
 	shards := len(budgets)
 	est := make([]float64, len(queries)*shards)
-	ps.fanOut(len(est), func(smp CSRSampler, k int) {
+	ps.kind.fanOut(ps.ctx, ps.workers, len(est), func(smp CSRSampler, k int) {
 		qi, si := k/shards, k%shards
 		q := queries[qi]
 		if q.S == q.T {
@@ -499,7 +337,7 @@ func (ps *ParallelSampler) EstimateEdges(c *ugraph.CSR, s, t ugraph.NodeID, edge
 		views[i] = c.WithEdges(edges[i : i+1])
 	}
 	est := make([]float64, len(edges)*shards)
-	ps.fanOut(len(est), func(smp CSRSampler, k int) {
+	ps.kind.fanOut(ps.ctx, ps.workers, len(est), func(smp CSRSampler, k int) {
 		ei, si := k/shards, k%shards
 		smp.Reseed(rng.SplitSeed(rng.SplitSeed(callSeed, int64(ei)), int64(si)))
 		smp.SetSampleSize(budgets[si])
@@ -535,7 +373,7 @@ func (ps *ParallelSampler) vectorMany(c *ugraph.CSR, nodes []ugraph.NodeID, forw
 	budgets := ps.shardBudgetsFor(z, len(nodes))
 	shards := len(budgets)
 	vecs := make([][]float64, len(nodes)*shards)
-	ps.fanOut(len(vecs), func(smp CSRSampler, k int) {
+	ps.kind.fanOut(ps.ctx, ps.workers, len(vecs), func(smp CSRSampler, k int) {
 		n, i := k/shards, k%shards
 		smp.Reseed(rng.SplitSeed(rng.SplitSeed(callSeed, int64(n)), int64(i)))
 		smp.SetSampleSize(budgets[i])

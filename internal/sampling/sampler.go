@@ -48,6 +48,14 @@
 // regardless of the worker count or GOMAXPROCS. Batched evaluation of many
 // queries, candidate edges or source/target vectors at once goes through
 // the BatchSampler interface.
+//
+// The package keeps one warm sync.Pool of serial samplers per estimator
+// kind. ParallelSampler, EstimateManySerial and Lease (the anytime
+// controller's block streams) all take their samplers from it, so scratch
+// arrays sized to a graph survive across requests instead of being rebuilt
+// per call. Pooling never affects results: a leased sampler is fully
+// reconfigured (Reseed + SetSampleSize + SetContext) before it estimates.
+// FanOut is the one work-stealing loop every fan-out runs on.
 package sampling
 
 import (

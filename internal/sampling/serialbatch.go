@@ -2,53 +2,33 @@ package sampling
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/rng"
 	"repro/internal/ugraph"
 )
 
 // EstimateManySerial evaluates a batch of (s, t) queries with full-budget
-// serial estimates, fanned out across workers leasing their samplers from
-// the shared warm pool. It is the Workers=0 counterpart of
-// ParallelSampler.EstimateMany: where that path shards each query's budget,
-// this one keeps every estimate an undivided serial stream — query i always
-// draws from rng.SplitSeed(seed, i) — and parallelizes only across queries.
-// Results are therefore bit-identical at any worker count (including the
-// in-order workers=1 execution, which the differential tests pin), and
-// deterministic in (seed, i) alone.
+// serial estimates of the named kind, fanned out across workers leasing
+// their samplers from the kind's warm pool. It is the Workers=0 counterpart
+// of ParallelSampler.EstimateMany: where that path shards each query's
+// budget, this one keeps every estimate an undivided serial stream — query
+// i always draws from rng.SplitSeed(seed, i) — and parallelizes only across
+// queries. Results are therefore bit-identical at any worker count
+// (including the in-order workers=1 execution, which the differential tests
+// pin), and deterministic in (seed, i) alone.
 //
 // Cancellation is cooperative: leased samplers poll ctx between sample
 // blocks, remaining queries are skipped once it fires, and the partial
 // output is garbage — callers must observe ctx.Err() and discard it, as
 // with ParallelSampler's fan-outs (out-of-order scheduling means there is
 // no meaningful completed prefix to salvage).
-func EstimateManySerial(ctx context.Context, ss *SharedScratch, c *ugraph.CSR, queries []PairQuery, z int, seed int64, workers int) []float64 {
-	if len(queries) == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	ctx = normalizeContext(ctx)
-	done := func() bool {
-		if ctx == nil {
-			return false
-		}
-		select {
-		case <-ctx.Done():
-			return true
-		default:
-			return false
-		}
+func EstimateManySerial(ctx context.Context, kind string, c *ugraph.CSR, queries []PairQuery, z int, seed int64, workers int) ([]float64, error) {
+	k, err := lookup(kind)
+	if err != nil || len(queries) == 0 {
+		return nil, err
 	}
 	out := make([]float64, len(queries))
-	estimate := func(smp CSRSampler, i int) {
+	k.fanOut(ctx, workers, len(queries), func(smp CSRSampler, i int) {
 		q := queries[i]
 		if q.S == q.T {
 			out[i] = 1
@@ -57,49 +37,6 @@ func EstimateManySerial(ctx context.Context, ss *SharedScratch, c *ugraph.CSR, q
 		smp.Reseed(rng.SplitSeed(seed, int64(i)))
 		smp.SetSampleSize(z)
 		out[i] = smp.ReliabilityCSR(c, q.S, q.T)
-	}
-	if workers <= 1 {
-		smp := ss.lease(ctx)
-		defer ss.release(smp)
-		for i := range queries {
-			if done() {
-				return out
-			}
-			estimate(smp, i)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			smp := ss.lease(ctx)
-			defer ss.release(smp)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) || done() {
-					return
-				}
-				estimate(smp, i)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
-}
-
-// lease takes a serial sampler from the warm pool and binds ctx so its
-// sample loops abort promptly on cancellation.
-func (ss *SharedScratch) lease(ctx context.Context) CSRSampler {
-	smp := ss.pool.Get().(CSRSampler)
-	smp.SetContext(ctx)
-	return smp
-}
-
-// release unbinds the context and returns the sampler to the pool.
-func (ss *SharedScratch) release(smp CSRSampler) {
-	smp.SetContext(nil)
-	ss.pool.Put(smp)
+	})
+	return out, nil
 }

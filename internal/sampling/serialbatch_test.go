@@ -38,10 +38,6 @@ func TestEstimateManySerialBitIdentity(t *testing.T) {
 	}
 	const z, seed = 300, 17
 	for _, kind := range []string{"mc", "rss", "lazy"} {
-		ss, err := NewSharedScratch(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Reference: one fresh serial sampler, reseeded per query in order.
 		ref := make([]float64, len(queries))
 		smp, err := NewSerial(kind, z, 0)
@@ -57,7 +53,10 @@ func TestEstimateManySerialBitIdentity(t *testing.T) {
 			ref[i] = smp.(CSRSampler).ReliabilityCSR(c, q.S, q.T)
 		}
 		for _, workers := range []int{1, 2, 4, 8, -1} {
-			got := EstimateManySerial(context.Background(), ss, c, queries, z, seed, workers)
+			got, err := EstimateManySerial(context.Background(), kind, c, queries, z, seed, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range ref {
 				if got[i] != ref[i] {
 					t.Fatalf("kind=%s workers=%d: query %d = %v, reference %v", kind, workers, i, got[i], ref[i])
@@ -65,7 +64,10 @@ func TestEstimateManySerialBitIdentity(t *testing.T) {
 			}
 		}
 		// Warm-pool reuse must not perturb a repeated call.
-		again := EstimateManySerial(context.Background(), ss, c, queries, z, seed, 4)
+		again, err := EstimateManySerial(context.Background(), kind, c, queries, z, seed, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range ref {
 			if again[i] != ref[i] {
 				t.Fatalf("kind=%s: warm repeat diverged at %d: %v vs %v", kind, i, again[i], ref[i])
@@ -80,10 +82,6 @@ func TestEstimateManySerialBitIdentity(t *testing.T) {
 func TestEstimateManySerialCancellation(t *testing.T) {
 	g := serialBatchGraph(256, 1024, false, 3)
 	c := g.Freeze()
-	ss, err := NewSharedScratch("mc")
-	if err != nil {
-		t.Fatal(err)
-	}
 	queries := make([]PairQuery, 64)
 	for i := range queries {
 		queries[i] = PairQuery{S: 0, T: ugraph.NodeID(1 + i%200)}
@@ -91,7 +89,9 @@ func TestEstimateManySerialCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_ = EstimateManySerial(ctx, ss, c, queries, 5_000_000, 1, 4)
+	if _, err := EstimateManySerial(ctx, "mc", c, queries, 5_000_000, 1, 4); err != nil {
+		t.Fatal(err)
+	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancelled batch took %v", elapsed)
 	}
@@ -99,12 +99,11 @@ func TestEstimateManySerialCancellation(t *testing.T) {
 
 // TestEstimateManySerialEmpty covers the trivial shapes.
 func TestEstimateManySerialEmpty(t *testing.T) {
-	ss, err := NewSharedScratch("rss")
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := serialBatchGraph(8, 12, false, 2)
-	if out := EstimateManySerial(context.Background(), ss, g.Freeze(), nil, 100, 1, 4); out != nil {
-		t.Fatalf("empty batch returned %v", out)
+	if out, err := EstimateManySerial(context.Background(), "rss", g.Freeze(), nil, 100, 1, 4); out != nil || err != nil {
+		t.Fatalf("empty batch returned %v, %v", out, err)
+	}
+	if _, err := EstimateManySerial(context.Background(), "bogus", g.Freeze(), nil, 100, 1, 4); err == nil {
+		t.Fatal("EstimateManySerial accepted an unknown kind")
 	}
 }

@@ -145,7 +145,6 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 	snap := e.snap.Load()
 	out := Query{Kind: q.Kind, Progress: q.Progress, snap: snap, epoch: snap.Epoch()}
 	opt := e.options(q.Options)
-	opt.Scratch = nil
 	opt.Progress = nil
 	if opt.Candidates != nil {
 		// Copy like Sources/Targets/Pairs below: a queued job must not see
@@ -214,11 +213,11 @@ func (e *Engine) Canonicalize(q Query) (Query, error) {
 // SHA-256 over a canonical binary encoding of every result-affecting
 // field, including the pinned graph epoch — the same query before and
 // after a mutation is two different computations and fingerprints as
-// such. Progress callbacks and the scratch pool are excluded, and the
-// worker count collapses to serial-vs-parallel (results are bit-identical
-// at any Workers >= 1, so w=2 and w=8 fingerprint identically). Call it on
-// a canonicalized Query for the canonical fingerprint; the engine's cache
-// and jobs do so automatically.
+// such. Progress callbacks are excluded, and the worker count collapses to
+// serial-vs-parallel (results are bit-identical at any Workers >= 1, so
+// w=2 and w=8 fingerprint identically). Call it on a canonicalized Query
+// for the canonical fingerprint; the engine's cache and jobs do so
+// automatically.
 func (q Query) Key() string {
 	h := sha256.New()
 	writeInts(h, int64(q.epoch))
@@ -351,9 +350,6 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 	snap := q.snap
 	opt := *q.Options
 	opt.Progress = q.Progress
-	if opt.Workers != 0 && opt.Sampler == e.scratch.Kind() {
-		opt.Scratch = e.scratch
-	}
 	switch q.Kind {
 	case QuerySolve:
 		sol, err := core.Solve(ctx, snap, q.S, q.T, q.Method, opt)
@@ -414,10 +410,10 @@ func (e *Engine) execute(ctx context.Context, q Query) (Result, error) {
 }
 
 // estimateMany is the estimate-many execution: the batched parallel
-// sampler when Workers != 0, otherwise the serial path sharded across the
-// warm pool — one undivided full-budget stream per query, keyed on the
-// query index, bit-identical at any scheduling (see
-// sampling.EstimateManySerial).
+// sampler when Workers != 0, otherwise the serial path fanned out over
+// samplers leased from the kind's warm pool — one undivided full-budget
+// stream per query, keyed on the query index, bit-identical at any
+// scheduling (see sampling.EstimateManySerial).
 func (e *Engine) estimateMany(ctx context.Context, snap *CSR, opt Options, pairs []PairQuery) ([]float64, error) {
 	for _, q := range pairs {
 		if err := checkNode(snap, q.S); err != nil {
@@ -441,15 +437,10 @@ func (e *Engine) estimateMany(ctx context.Context, snap *CSR, opt Options, pairs
 		}
 		return out, nil
 	}
-	ss := e.scratch
-	if opt.Sampler != ss.Kind() {
-		var err error
-		ss, err = sampling.NewSharedScratch(opt.Sampler)
-		if err != nil {
-			return nil, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
-		}
+	out, err := sampling.EstimateManySerial(ctx, opt.Sampler, snap, pairs, opt.Z, opt.Seed, 0)
+	if err != nil {
+		return nil, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
 	}
-	out := sampling.EstimateManySerial(ctx, ss, snap, pairs, opt.Z, opt.Seed, 0)
 	if cerr := ctx.Err(); cerr != nil {
 		// Out-of-order scheduling means there is no meaningful completed
 		// prefix; discard the partial merge.
@@ -459,27 +450,12 @@ func (e *Engine) estimateMany(ctx context.Context, snap *CSR, opt Options, pairs
 }
 
 // estimatorFor builds the request-scoped reliability estimator for the
-// resolved options: a parallel sampler leasing workers from the engine's
-// warm pool when the kinds match (a cold pool otherwise), or a fresh
-// serial sampler when Workers == 0. Each call starts from the resolved
-// seed, so identical estimation requests return identical values
-// regardless of what ran before.
+// resolved options: a parallel sampler leasing workers from the kind's warm
+// pool when Workers != 0, a fresh serial sampler otherwise. Each call
+// starts from the resolved seed, so identical estimation requests return
+// identical values regardless of what ran before.
 func (e *Engine) estimatorFor(ctx context.Context, opt Options) (sampling.CSRSampler, error) {
-	if opt.Workers != 0 {
-		var ps *sampling.ParallelSampler
-		if opt.Sampler == e.scratch.Kind() {
-			ps = sampling.NewParallelShared(e.scratch, opt.Z, opt.Seed, opt.Workers)
-		} else {
-			var err error
-			ps, err = sampling.NewParallel(opt.Sampler, opt.Z, opt.Seed, opt.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
-			}
-		}
-		ps.SetContext(ctx)
-		return ps, nil
-	}
-	smp, err := sampling.NewSerial(opt.Sampler, opt.Z, opt.Seed)
+	smp, err := sampling.New(opt.Sampler, opt.Z, opt.Seed, opt.Workers)
 	if err != nil {
 		return nil, fmt.Errorf("repro: sampler %q (want mc, rss, lazy or mcvec): %w", opt.Sampler, ErrUnknownSampler)
 	}
