@@ -143,86 +143,99 @@ func TestCheckFaster(t *testing.T) {
 	}
 }
 
-// TestTwins: one case per twin rule — the name mapping (exact path
-// segments only) and the artifact entry built from sampleOld.
-func TestTwins(t *testing.T) {
-	res := parse(t, sampleOld)
-	// A pair without the samples/op metric never reports a saving it
-	// cannot compute, so the adaptive rule skips it.
-	bare := parse(t, "BenchmarkX/adaptive/p1-4 10 100 ns/op\nBenchmarkX/fixed/p1-4 10 900 ns/op\n")
-	cases := []struct {
-		rule   twinRule
-		names  map[string]string // benchmark name -> twin name ("" = none)
-		want   twin
-		noTwin map[string]*result // results in which the rule finds no pair
-	}{
-		{
-			rule: twinRules[0],
-			names: map[string]string{
-				"BenchmarkVectorMC/from/mcvec/n256":        "BenchmarkVectorMC/from/mc/n256",
-				"BenchmarkCSRvsLegacy/mcvec/csr/n2048":     "BenchmarkCSRvsLegacy/mc/csr/n2048",
-				"BenchmarkParallelReliability/mcvec/w4":    "BenchmarkParallelReliability/mc/w4",
-				"BenchmarkVectorMC/from/mc/n256":           "", // already scalar
-				"BenchmarkFreeze/n256":                     "",
-				"BenchmarkSomething/mcvectors/odd-segment": "", // substring must not match
-			},
-			want: twin{Name: "BenchmarkVectorMC/st/mcvec/n256", Twin: "BenchmarkVectorMC/st/mc/n256",
-				NsPerOp: 20000, AllocsPerOp: 0, TwinNsPerOp: 100000, Speedup: 100000.0 / 20000.0},
+// twinCases holds one case per entry of twinRules, in the same order: the
+// name mapping (exact path segments only) and the artifact entry built
+// from sampleOld.
+var twinCases = []struct {
+	names  map[string]string // benchmark name -> twin name ("" = none)
+	want   twin
+	noTwin string // benchmark output in which the rule finds no pair
+}{
+	{ // mcvec -> mc
+		names: map[string]string{
+			"BenchmarkVectorMC/from/mcvec/n256":        "BenchmarkVectorMC/from/mc/n256",
+			"BenchmarkCSRvsLegacy/mcvec/csr/n2048":     "BenchmarkCSRvsLegacy/mc/csr/n2048",
+			"BenchmarkParallelReliability/mcvec/w4":    "BenchmarkParallelReliability/mc/w4",
+			"BenchmarkVectorMC/from/mc/n256":           "", // already scalar
+			"BenchmarkFreeze/n256":                     "",
+			"BenchmarkSomething/mcvectors/odd-segment": "", // substring must not match
 		},
-		{
-			rule: twinRules[1],
-			names: map[string]string{
-				"BenchmarkAnytimeEstimate/adaptive/p0.02": "BenchmarkAnytimeEstimate/fixed/p0.02",
-				"BenchmarkAnytimeEstimate/fixed/p0.02":    "", // already fixed
-				"BenchmarkSomething/adaptively/odd":       "", // substring must not match
-			},
-			want: twin{Name: "BenchmarkAnytimeEstimate/adaptive/p0.02", Twin: "BenchmarkAnytimeEstimate/fixed/p0.02",
-				NsPerOp: 2000000, AllocsPerOp: 9, TwinNsPerOp: 130000000, Speedup: 130000000.0 / 2000000.0,
-				SamplesPerOp: 1280, TwinSamplesPerOp: 65536, SamplesSavedFrac: 1 - 1280.0/65536.0},
-			noTwin: bare,
+		want: twin{Name: "BenchmarkVectorMC/st/mcvec/n256", Twin: "BenchmarkVectorMC/st/mc/n256",
+			NsPerOp: 20000, AllocsPerOp: 0, TwinNsPerOp: 100000, Speedup: 100000.0 / 20000.0},
+	},
+	{ // adaptive -> fixed
+		names: map[string]string{
+			"BenchmarkAnytimeEstimate/adaptive/p0.02": "BenchmarkAnytimeEstimate/fixed/p0.02",
+			"BenchmarkAnytimeEstimate/fixed/p0.02":    "", // already fixed
+			"BenchmarkSomething/adaptively/odd":       "", // substring must not match
 		},
-		{
-			rule: twinRules[2],
-			names: map[string]string{
-				"BenchmarkApply/delta/b16":  "BenchmarkApply/clone/b16",
-				"BenchmarkApply/clone/b16":  "", // already clone
-				"BenchmarkX/deltaish/other": "", // substring must not match
-			},
-			want: twin{Name: "BenchmarkApply/delta/b1", Twin: "BenchmarkApply/clone/b1",
-				NsPerOp: 10000, AllocsPerOp: 26, TwinNsPerOp: 90000, Speedup: 90000.0 / 10000.0},
+		want: twin{Name: "BenchmarkAnytimeEstimate/adaptive/p0.02", Twin: "BenchmarkAnytimeEstimate/fixed/p0.02",
+			NsPerOp: 2000000, AllocsPerOp: 9, TwinNsPerOp: 130000000, Speedup: 130000000.0 / 2000000.0,
+			SamplesPerOp: 1280, TwinSamplesPerOp: 65536, SamplesSavedFrac: 1 - 1280.0/65536.0},
+		// A pair without the samples/op metric never reports a saving it
+		// cannot compute, so the adaptive rule skips it.
+		noTwin: "BenchmarkX/adaptive/p1-4 10 100 ns/op\nBenchmarkX/fixed/p1-4 10 900 ns/op\n",
+	},
+	{ // delta -> clone
+		names: map[string]string{
+			"BenchmarkApply/delta/b16":  "BenchmarkApply/clone/b16",
+			"BenchmarkApply/clone/b16":  "", // already clone
+			"BenchmarkX/deltaish/other": "", // substring must not match
 		},
+		want: twin{Name: "BenchmarkApply/delta/b1", Twin: "BenchmarkApply/clone/b1",
+			NsPerOp: 10000, AllocsPerOp: 26, TwinNsPerOp: 90000, Speedup: 90000.0 / 10000.0},
+	},
+}
+
+// checkTwinNames checks rule i's name mapping.
+func checkTwinNames(t *testing.T, i int) {
+	t.Helper()
+	if len(twinCases) != len(twinRules) {
+		t.Fatalf("%d twin cases for %d rules", len(twinCases), len(twinRules))
 	}
-	twins := buildTwins(res)
-	if len(twins) != len(cases) {
-		t.Fatalf("want %d twin entries, got %+v", len(cases), twins)
-	}
-	for _, tc := range cases {
-		t.Run(tc.rule.from, func(t *testing.T) {
-			for in, want := range tc.names {
-				if got := twinName(in, tc.rule.from, tc.rule.to); got != want {
-					t.Errorf("twinName(%q) = %q, want %q", in, got, want)
-				}
-			}
-			found := false
-			for _, tw := range twins {
-				if tw.Name == tc.want.Name {
-					found = true
-					if tw != tc.want {
-						t.Errorf("entry %+v, want %+v", tw, tc.want)
-					}
-				}
-			}
-			if !found {
-				t.Errorf("no entry for %s in %+v", tc.want.Name, twins)
-			}
-			if tc.noTwin != nil {
-				if got := buildTwins(tc.noTwin); len(got) != 0 {
-					t.Errorf("unpairable results produced entries: %+v", got)
-				}
-			}
-		})
+	rule := twinRules[i]
+	for in, want := range twinCases[i].names {
+		if got := twinName(in, rule.from, rule.to); got != want {
+			t.Errorf("twinName(%q, %s->%s) = %q, want %q", in, rule.from, rule.to, got, want)
+		}
 	}
 }
+
+// checkTwinEntry checks that buildTwins emits one entry per rule from
+// sampleOld, that rule i's entry is exact, and that rule i pairs nothing in
+// its noTwin output.
+func checkTwinEntry(t *testing.T, i int) {
+	t.Helper()
+	twins := buildTwins(parse(t, sampleOld))
+	if len(twins) != len(twinRules) {
+		t.Fatalf("want %d twin entries, got %+v", len(twinRules), twins)
+	}
+	want := twinCases[i].want
+	found := false
+	for _, tw := range twins {
+		if tw.Name == want.Name {
+			found = true
+			if tw != want {
+				t.Errorf("entry %+v, want %+v", tw, want)
+			}
+		}
+	}
+	if !found {
+		t.Errorf("no entry for %s in %+v", want.Name, twins)
+	}
+	if s := twinCases[i].noTwin; s != "" {
+		if got := buildTwins(parse(t, s)); len(got) != 0 {
+			t.Errorf("unpairable results produced entries: %+v", got)
+		}
+	}
+}
+
+func TestScalarTwin(t *testing.T)    { checkTwinNames(t, 0) }
+func TestBuildSpeedups(t *testing.T) { checkTwinEntry(t, 0) }
+func TestFixedTwin(t *testing.T)     { checkTwinNames(t, 1) }
+func TestBuildAnytimes(t *testing.T) { checkTwinEntry(t, 1) }
+func TestCloneTwin(t *testing.T)     { checkTwinNames(t, 2) }
+func TestBuildApplies(t *testing.T)  { checkTwinEntry(t, 2) }
 
 func TestRenderMarkdown(t *testing.T) {
 	old, new := parse(t, sampleOld), parse(t, sampleNew)
