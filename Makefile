@@ -5,7 +5,7 @@ GO ?= go
 BENCH_COUNT ?= 6
 BENCH_PATTERN ?= BenchmarkParallelReliability|BenchmarkEstimateMany|BenchmarkEstimateEdges|BenchmarkCSRvsLegacy|BenchmarkCandidateEval|BenchmarkVectorMC|BenchmarkAnytimeEstimate|BenchmarkApply|BenchmarkSolveWorkers|BenchmarkSolveAfterApply
 
-.PHONY: build test race bench bench-smoke bench-baseline bench-compare bench-gate fuzz-smoke smoke-relmaxd cover lint fmt ci
+.PHONY: build test race bench bench-smoke bench-baseline bench-compare bench-gate fuzz-smoke smoke-relmaxd perfbench-test cover lint fmt ci
 
 build:
 	$(GO) build ./...
@@ -55,7 +55,7 @@ bench-compare:
 # Machine gate over the bench-baseline/bench-compare pair: fail on >10%
 # median regressions, require parallel speedup (w4 beats w1 for both the
 # scalar and vector parallel samplers), require adaptive stopping to beat
-# the fixed budget it is capped at, require the delta mutation commit to
+# the fixed budget it is capped at (serial and sharded), require the delta mutation commit to
 # beat the full clone+refreeze by >=5x on single-edit batches (and to stay
 # ahead on 16-edit batches), and emit the BENCH_twins.json artifact
 # (mcvec vs mc, adaptive vs fixed, delta vs clone) and a markdown summary
@@ -68,6 +68,7 @@ bench-gate:
 		-faster 'BenchmarkParallelReliability/mc/w4<BenchmarkParallelReliability/mc/w1' \
 		-faster 'BenchmarkParallelReliability/mcvec/w4<BenchmarkParallelReliability/mcvec/w1' \
 		-faster 'BenchmarkAnytimeEstimate/adaptive/p0.02<BenchmarkAnytimeEstimate/fixed/p0.02' \
+		-faster 'BenchmarkAnytimeEstimate/sharded/adaptive/p0.05<BenchmarkAnytimeEstimate/sharded/fixed/p0.05' \
 		-faster 'BenchmarkApply/delta/b1<BenchmarkApply/clone/b1@5' \
 		-faster 'BenchmarkApply/delta/b16<BenchmarkApply/clone/b16' \
 		-twins-json BENCH_twins.json \
@@ -78,6 +79,12 @@ bench-gate:
 # deterministic payloads, and check SIGINT shuts down gracefully.
 smoke-relmaxd:
 	./scripts/relmaxd_smoke.sh
+
+# The end-to-end serving benchmark (perfbench/) is its own module driving
+# the public Catalog API; vet and test it so an API change that breaks the
+# harness fails here rather than at the next benchmark run.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # Short fuzz smoke: each target fuzzes for 10s on top of the checked-in
 # seed corpus, catching shallow regressions in the I/O, Freeze,

@@ -329,8 +329,12 @@ func BenchmarkEstimateEdges(b *testing.B) {
 // precision target: adaptive (stops once the 95% interval's half-width
 // reaches the precision) and fixed (burns the full budget the adaptive run
 // is capped at). Both report samples/op, so the bench gate can publish the
-// fraction of the budget adaptive stopping saved (BENCH_anytime.json) and
-// assert adaptive beats fixed on wall-clock.
+// fraction of the budget adaptive stopping saved (BENCH_twins.json) and
+// assert adaptive beats fixed on wall-clock. The sharded/ pair runs the
+// same estimate on a two-worker engine, the mode relmaxd serves by
+// default, so the artifact also tracks how many samples a sharded
+// precision stop draws; the fixed worker count keeps that shape the same
+// on every machine.
 func BenchmarkAnytimeEstimate(b *testing.B) {
 	g, err := LoadDataset("astopo", 0.08, 5)
 	if err != nil {
@@ -342,8 +346,8 @@ func BenchmarkAnytimeEstimate(b *testing.B) {
 	}
 	s, t := qs[0].S, qs[0].T
 	const maxZ = 65536 // the shared budget cap (anytime.DefaultMaxZ)
-	run := func(b *testing.B, opt Options) {
-		eng, err := NewEngine(g) // no result cache: every iteration samples
+	run := func(b *testing.B, opt Options, engOpts ...EngineOption) {
+		eng, err := NewEngine(g, engOpts...) // no result cache: every iteration samples
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -373,6 +377,12 @@ func BenchmarkAnytimeEstimate(b *testing.B) {
 			run(b, Options{Sampler: "mcvec", Z: maxZ, Seed: 7})
 		})
 	}
+	b.Run("sharded/adaptive/p0.05", func(b *testing.B) {
+		run(b, Options{Sampler: "mcvec", Precision: 0.05, MaxZ: maxZ, Seed: 7}, WithWorkers(2))
+	})
+	b.Run("sharded/fixed/p0.05", func(b *testing.B) {
+		run(b, Options{Sampler: "mcvec", Z: maxZ, Seed: 7}, WithWorkers(2))
+	})
 }
 
 // BenchmarkApply measures the mutation-commit path: batches of 1/16/256

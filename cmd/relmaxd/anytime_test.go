@@ -298,3 +298,37 @@ func TestShedPrecisionUnderLoad(t *testing.T) {
 		t.Fatalf("prometheus exposition lacks shed counter:\n%s", promRaw)
 	}
 }
+
+// TestDefaultServerPrecisionStopsEarly: a server on the default flags
+// (sharded sampling, -workers -1) stops a precision-0.05 estimate at the
+// first 64-sample block that meets it, well before one 16-shard round of
+// blocks (1024 samples).
+func TestDefaultServerPrecisionStopsEarly(t *testing.T) {
+	catalog, err := buildCatalog("", "", "lastfm", engineConfig{
+		scale: 0.08, z: 500, sampler: "rss", seed: 1, workers: -1, cache: 256, queueDepth: 64,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(catalog, 30*time.Second)
+	srv.logf = t.Logf
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+
+	status, raw := post(t, ts.URL+"/v1/estimate", `{"pairs":[[0,9],[1,22],[3,40]],"precision":0.05}`)
+	if status != http.StatusOK {
+		t.Fatalf("estimate status %d: %s", status, raw)
+	}
+	var resp estimateResponse
+	if err := json.Unmarshal(raw, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.SamplesUsed) != 3 {
+		t.Fatalf("samples_used missing: %s", raw)
+	}
+	for i, n := range resp.SamplesUsed {
+		if resp.StopReasons[i] != repro.StopPrecision || n <= 0 || n >= 1024 {
+			t.Errorf("pair %d: stop=%q after %d samples, want precision below 1024: %s", i, resp.StopReasons[i], n, raw)
+		}
+	}
+}

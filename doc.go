@@ -119,10 +119,15 @@
 // stopping saved against the fixed budget (AnytimeEstimates,
 // AnytimeSamplesUsed, AnytimeSamplesSaved).
 //
-// The determinism contract extends to anytime runs: for a fixed seed the
-// block schedule and stop decision are deterministic, and the sampled
-// stream is bit-identical to a fixed-budget run truncated at the same
-// length — at any worker count, for every sampler kind.
+// The determinism contract extends to anytime runs: blocks follow one
+// fixed global order — a single stream on a serial engine, 16 seed-split
+// shard streams taken in turn on a parallel one (Workers != 0), where the
+// workers draw consecutive blocks in waves — and the stop rule is checked
+// after every block of that order. So a run stops at the first 64-sample
+// block whose interval meets Precision, its result is bit-identical to a
+// fixed-budget run truncated at the same length — at any worker count,
+// for every sampler kind — and a looser precision really draws fewer
+// samples.
 //
 // Anytime results compose with the result cache under upgrade semantics:
 // Precision is deliberately excluded from the canonical fingerprint, so

@@ -9,18 +9,21 @@
 //
 // # Determinism
 //
-// The controller never trades reproducibility for adaptivity. Blocks are
-// 64-aligned so mcvec lane blocks never split; the context is polled only
-// between blocks, so a block that starts always completes and the drawn
-// stream depends only on (seed, block schedule, stop decision). In serial
-// mode (Workers == 0) the sample stream of the stream-continuing kinds
-// (mc, lazy, mcvec) is bit-identical to a plain fixed-budget sampler of
-// the same kind and seed truncated at the stop point. In sharded mode
-// (Workers != 0) the schedule is a fixed 16-shard round-robin — shard i
-// draws from rng.SplitSeed(seed, i), rounds hand every shard one 64-block
-// — so the result is bit-identical at any non-zero worker count, and equal
-// to a fixed-budget controller run (Precision 0) whose MaxZ is the adaptive
-// run's SamplesUsed. RSS, whose stratified recursion is not
+// The controller never trades reproducibility for adaptivity. Samples are
+// drawn in one global block order: block j holds BlockSize samples (the
+// last takes the sub-block tail of MaxZ) and runs on stream j mod S. In
+// serial mode (Workers == 0) S is 1 and the stream is seeded with Seed; in
+// sharded mode (Workers != 0) S is 16 and shard i draws from
+// rng.SplitSeed(seed, i). Blocks are 64-aligned so mcvec lane blocks never
+// split, and a block that starts always completes. The stop rule is
+// evaluated on every block prefix in that order, so the result depends
+// only on (seed, mode, stop point): it is bit-identical at any non-zero
+// worker count, SamplesUsed is a whole number of blocks (or MaxZ), and an
+// adaptive run equals a fixed-budget controller run (Precision 0) whose
+// MaxZ is the adaptive run's SamplesUsed. In serial mode the sample stream
+// of the stream-continuing kinds (mc, lazy, mcvec) is moreover
+// bit-identical to a plain fixed-budget sampler of the same kind and seed
+// truncated at the stop point. RSS, whose stratified recursion is not
 // prefix-continuable, estimates each block independently; its determinism
 // contract is the schedule-equivalence one, pinned the same way.
 package anytime
@@ -28,6 +31,7 @@ package anytime
 import (
 	"context"
 	"math"
+	"runtime"
 
 	"repro/internal/rng"
 	"repro/internal/sampling"
@@ -47,13 +51,15 @@ const DefaultMaxZ = 65536
 // is unset.
 const DefaultConfidence = 0.95
 
-// shardCount is the fixed number of deterministic sample shards in
-// parallel mode. Like sampling.DefaultShards, the shard structure — not
+// shardCount is the fixed number of deterministic sample streams in
+// sharded mode. Like sampling.DefaultShards, the shard structure — not
 // the worker count — fixes the randomness.
 const shardCount = 16
 
-// progressEvery is the number of serial blocks between progress
-// emissions (parallel rounds emit every round, which is already coarser).
+// progressEvery is the number of blocks, counted in the global block
+// order, between progress emissions; the run's final estimate is always
+// emitted too. Counting folded blocks rather than waves keeps the event
+// sequence the same at every worker count.
 const progressEvery = 8
 
 // Stop reasons reported in Estimate.StopReason.
@@ -97,10 +103,10 @@ type Config struct {
 	// Seed fixes the sample streams.
 	Seed int64
 	// Workers selects the execution mode: 0 runs one serial stream;
-	// any non-zero value runs the fixed 16-shard schedule on up to that
-	// many goroutines (negative selects GOMAXPROCS; at most shardCount
-	// ever run). Results in sharded mode are identical for every worker
-	// count.
+	// any non-zero value runs the 16-shard block order in waves of that
+	// many blocks on as many goroutines (negative selects GOMAXPROCS; a
+	// wave never exceeds shardCount blocks). Results in sharded mode are
+	// identical for every worker count.
 	Workers int
 	// Confidence is the interval coverage in (0, 1); <= 0 selects
 	// DefaultConfidence.
@@ -162,10 +168,14 @@ func Run(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Es
 	if s == t {
 		return Estimate{Point: 1, Lo: 1, Hi: 1, StopReason: StopPrecision}, nil
 	}
-	if cfg.Workers != 0 {
-		return runSharded(ctx, c, s, t, cfg)
+	if cfg.Workers == 0 {
+		return runBlocks(ctx, c, s, t, cfg, 1, 1)
 	}
-	return runSerial(ctx, c, s, t, cfg)
+	wave := cfg.Workers
+	if wave < 0 {
+		wave = runtime.GOMAXPROCS(0)
+	}
+	return runBlocks(ctx, c, s, t, cfg, shardCount, min(wave, shardCount))
 }
 
 // lease takes a block sampler of the configured kind from the sampling
@@ -184,132 +194,119 @@ func lease(kind string, seed int64) (sampling.BlockSampler, error) {
 	return smp.(sampling.BlockSampler), nil
 }
 
-// stop evaluates the stop conditions for the pooled (hits, drawn) state.
-// The returned reason is empty while the run should continue.
-func (cfg Config) stop(ctx context.Context, hits float64, drawn int) (Estimate, string, error) {
+// estimate is the served estimate over hits pooled from drawn samples,
+// with the reason the run stops there; the reason is empty while the run
+// should continue.
+func (cfg Config) estimate(hits float64, drawn int) (Estimate, string) {
 	lo, hi := interval(hits, drawn, cfg.Confidence)
 	est := Estimate{Point: hits / float64(drawn), Lo: lo, Hi: hi, SamplesUsed: drawn}
-	if err := ctx.Err(); err != nil {
-		if err == context.DeadlineExceeded {
-			return est, StopDeadline, nil
-		}
-		return Estimate{}, "", err
+	switch {
+	case cfg.Precision > 0 && est.HalfWidth() <= cfg.Precision:
+		return est, StopPrecision
+	case drawn >= cfg.MaxZ:
+		return est, StopBudget
 	}
-	if cfg.Precision > 0 && (hi-lo)/2 <= cfg.Precision {
-		return est, StopPrecision, nil
-	}
-	if drawn >= cfg.MaxZ {
-		return est, StopBudget, nil
-	}
-	return est, "", nil
+	return est, ""
 }
 
-func runSerial(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Estimate, error) {
-	bs, err := lease(cfg.Sampler, cfg.Seed)
-	if err != nil {
-		return Estimate{}, err
-	}
-	defer sampling.Release(bs)
-	stream := bs.BeginBlocks(c, s, t)
-	hits, drawn, blocks := 0.0, 0, 0
-	for {
-		n := BlockSize
-		if rem := cfg.MaxZ - drawn; rem < n {
-			n = rem
-		}
-		h, d := stream.SampleBlock(n)
-		hits += h
-		drawn += d
-		blocks++
-		est, reason, err := cfg.stop(ctx, hits, drawn)
-		if err != nil {
-			return Estimate{}, err
-		}
-		if reason != "" {
-			est.StopReason = reason
-			if cfg.Progress != nil {
-				cfg.Progress(est)
-			}
-			return est, nil
-		}
-		if cfg.Progress != nil && blocks%progressEvery == 0 {
-			cfg.Progress(est)
-		}
-	}
+// blockStream is one of the controller's sample streams: a leased sampler,
+// its open block stream and the success mass its blocks have drawn.
+type blockStream struct {
+	smp    sampling.BlockSampler
+	blocks sampling.BlockStream
+	hits   float64
 }
 
-// runSharded runs the fixed 16-shard schedule: every round hands each
-// shard one 64-sample block (the final round distributes the remaining
-// budget in 64-quanta, filling shards in order, with any sub-block tail
-// on the last active shard — legal because it is that shard's final
-// block). Stop conditions are evaluated between rounds, so SamplesUsed
-// advances in whole rounds and the schedule for a given stop point is
-// identical whichever condition fired — the prefix property the
-// differential tests pin.
-func runSharded(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config) (Estimate, error) {
-	leased := make([]sampling.BlockSampler, 0, shardCount)
+// blockResult is what one block of a wave drew.
+type blockResult struct {
+	hits  float64
+	drawn int
+}
+
+// runBlocks is the one controller loop behind both modes. Block j of the
+// global order runs on stream j mod streams (streams is 1 in serial mode,
+// shardCount in sharded mode). Blocks run in waves of up to wave
+// consecutive blocks — all on distinct streams, since wave <= streams —
+// through sampling.FanOut. After each wave the controller folds the
+// blocks in global order and stops at the first prefix whose interval
+// meets Precision or that reaches MaxZ; the rest of that wave is dropped.
+// The stop point therefore depends only on the prefix sequence, never on
+// the wave size. A stream's sampler is leased, and its block stream
+// opened, only when the stream's first block is scheduled, so a short run
+// leases only the streams it draws from. The context is polled between
+// waves: a deadline that has fired ends the run with every block drawn
+// pooled; cancellation ends it with the error.
+//
+// Each prefix's pooled mass is summed stream by stream in stream order,
+// so the floats a prefix yields are the same however it was reached —
+// by an adaptive stop, a fixed budget or a deadline.
+func runBlocks(ctx context.Context, c *ugraph.CSR, s, t ugraph.NodeID, cfg Config, streams, wave int) (Estimate, error) {
+	open := make([]blockStream, streams)
 	defer func() {
-		for _, bs := range leased {
-			sampling.Release(bs)
+		for _, st := range open {
+			if st.smp != nil {
+				sampling.Release(st.smp)
+			}
 		}
 	}()
-	streams := make([]sampling.BlockStream, shardCount)
-	for i := range streams {
-		bs, err := lease(cfg.Sampler, rng.SplitSeed(cfg.Seed, int64(i)))
-		if err != nil {
-			return Estimate{}, err
-		}
-		leased = append(leased, bs)
-		streams[i] = bs.BeginBlocks(c, s, t)
+	results := make([]blockResult, wave)
+	total := (cfg.MaxZ + BlockSize - 1) / BlockSize
+	done, drawn := 0, 0
+	// draw runs block done+i, the wave's i-th, into results[i].
+	draw := func(i int) {
+		j := done + i
+		h, d := open[j%streams].blocks.SampleBlock(min(BlockSize, cfg.MaxZ-j*BlockSize))
+		results[i] = blockResult{hits: h, drawn: d}
 	}
-	hits := make([]float64, shardCount)
-	drawnBy := make([]int, shardCount)
-	quota := make([]int, shardCount)
-	totalHits, totalDrawn := 0.0, 0
 	for {
-		rem := cfg.MaxZ - totalDrawn
-		for i := range quota {
-			q := rem - i*BlockSize
-			if q > BlockSize {
-				q = BlockSize
+		n := min(wave, total-done)
+		for i := 0; i < n; i++ {
+			if k := (done + i) % streams; open[k].smp == nil {
+				seed := cfg.Seed
+				if streams > 1 {
+					seed = rng.SplitSeed(cfg.Seed, int64(k))
+				}
+				smp, err := lease(cfg.Sampler, seed)
+				if err != nil {
+					return Estimate{}, err
+				}
+				open[k] = blockStream{smp: smp, blocks: smp.BeginBlocks(c, s, t)}
 			}
-			if q < 0 {
-				q = 0
+		}
+		// Blocks always complete — the controller polls ctx between
+		// waves — so the fan-out gets no context. A one-block wave runs
+		// inline, sparing the fan-out's per-call allocations.
+		if n == 1 {
+			draw(0)
+		} else {
+			sampling.FanOut(context.Background(), n, n, draw)
+		}
+		ctxErr := ctx.Err()
+		if ctxErr != nil && ctxErr != context.DeadlineExceeded {
+			return Estimate{}, ctxErr
+		}
+		for i := 0; i < n; i++ {
+			open[done%streams].hits += results[i].hits
+			drawn += results[i].drawn
+			done++
+			hits := 0.0
+			for k := range open {
+				hits += open[k].hits
 			}
-			quota[i] = q
-		}
-		// One round: shard i draws quota[i] samples on its own stream and
-		// accumulates into its own slot. Rounds always complete — the stop
-		// rules poll ctx between rounds — so the fan-out gets no context.
-		sampling.FanOut(context.Background(), cfg.Workers, shardCount, func(i int) {
-			if quota[i] > 0 {
-				h, d := streams[i].SampleBlock(quota[i])
-				hits[i] += h
-				drawnBy[i] += d
+			est, reason := cfg.estimate(hits, drawn)
+			if reason == "" && i == n-1 && ctxErr != nil {
+				reason = StopDeadline
 			}
-		})
-		// Merge in fixed shard order; the sums are the same exact floats
-		// at any worker count because block hit counts are integer-valued
-		// (mc/lazy/mcvec) or per-shard-deterministic (rss) and the
-		// accumulation order is fixed.
-		totalHits, totalDrawn = 0, 0
-		for i := range hits {
-			totalHits += hits[i]
-			totalDrawn += drawnBy[i]
-		}
-		est, reason, err := cfg.stop(ctx, totalHits, totalDrawn)
-		if err != nil {
-			return Estimate{}, err
-		}
-		if reason != "" {
-			est.StopReason = reason
-			if cfg.Progress != nil {
+			if reason != "" {
+				est.StopReason = reason
+				if cfg.Progress != nil {
+					cfg.Progress(est)
+				}
+				return est, nil
+			}
+			if cfg.Progress != nil && done%progressEvery == 0 {
 				cfg.Progress(est)
 			}
-			return est, nil
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(est)
 		}
 	}
 }

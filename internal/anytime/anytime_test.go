@@ -333,3 +333,111 @@ func TestHalfWidth(t *testing.T) {
 		t.Errorf("HalfWidth=%v, want 0.05", e.HalfWidth())
 	}
 }
+
+// TestShardedStopsAtFirstQualifyingBlock pins the sharded stop rule: the
+// controller evaluates every 64-sample prefix of the global block order,
+// so a precision run stops at the first block whose interval meets the
+// target — whatever the worker count, including counts that do not divide
+// the 16 shards — and at precision 0.05 that is always well under one
+// 16-shard round of blocks.
+func TestShardedStopsAtFirstQualifyingBlock(t *testing.T) {
+	const precision = 0.05
+	r := rng.New(31)
+	multiBlock := 0
+	for _, kind := range allKinds {
+		for trial := 0; trial < 4; trial++ {
+			g := testGraph(r)
+			c := g.Freeze()
+			s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
+			var want Estimate
+			for i, workers := range []int{1, 2, 3, 5, 16, -1} {
+				cfg := Config{Sampler: kind, Precision: precision, MaxZ: 1 << 14, Seed: int64(trial) + 11, Workers: workers}
+				est, err := Run(context.Background(), c, s, tt, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					want = est
+				} else if est != want {
+					t.Errorf("%s trial %d: workers=%d estimate %+v != workers=1 %+v", kind, trial, workers, est, want)
+				}
+				if est.StopReason != StopPrecision || est.SamplesUsed%BlockSize != 0 || est.SamplesUsed >= shardCount*BlockSize {
+					t.Errorf("%s trial %d workers=%d: stopped (%q, %d samples), want precision on a block boundary below %d",
+						kind, trial, workers, est.StopReason, est.SamplesUsed, shardCount*BlockSize)
+				}
+				fixedCfg := cfg
+				fixedCfg.Precision = 0
+				fixedCfg.MaxZ = est.SamplesUsed
+				fixed, err := Run(context.Background(), c, s, tt, fixedCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fixed.Point != est.Point || fixed.Lo != est.Lo || fixed.Hi != est.Hi {
+					t.Errorf("%s trial %d workers=%d: adaptive %+v != fixed budget %d %+v", kind, trial, workers, est, est.SamplesUsed, fixed)
+				}
+				if est.SamplesUsed <= BlockSize {
+					continue
+				}
+				multiBlock++
+				fixedCfg.MaxZ = est.SamplesUsed - BlockSize
+				shorter, err := Run(context.Background(), c, s, tt, fixedCfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if shorter.HalfWidth() <= precision {
+					t.Errorf("%s trial %d workers=%d: the %d-sample prefix already met the precision (half-width %v) but the run drew %d",
+						kind, trial, workers, shorter.SamplesUsed, shorter.HalfWidth(), est.SamplesUsed)
+				}
+			}
+		}
+	}
+	if multiBlock == 0 {
+		t.Error("every run stopped after one block; the graphs do not exercise the stop rule")
+	}
+}
+
+// TestShardedIntervalCoverage is TestIntervalCoverage for sharded mode,
+// which evaluates its stop rule after every block: over many seeds and
+// small graphs, the served interval must contain the exact reliability at
+// no less than the same 0.90 floor, for every kind and both precisions.
+func TestShardedIntervalCoverage(t *testing.T) {
+	const trials = 200
+	precisions := []float64{0.04, 0.05}
+	covered := make(map[string][]int, len(allKinds))
+	for _, kind := range allKinds {
+		covered[kind] = make([]int, len(precisions))
+	}
+	r := rng.New(73)
+	for trial := 0; trial < trials; trial++ {
+		g := smallGraph(r)
+		s, tt := ugraph.NodeID(0), ugraph.NodeID(g.N()-1)
+		exact, err := g.ExactReliability(s, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := g.Freeze()
+		for _, kind := range allKinds {
+			for i, precision := range precisions {
+				est, err := Run(context.Background(), c, s, tt, Config{
+					Sampler: kind, Precision: precision, MaxZ: 1 << 14, Seed: int64(trial) + 1, Workers: 2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if est.Lo <= exact && exact <= est.Hi {
+					covered[kind][i]++
+				}
+			}
+		}
+	}
+	for _, kind := range allKinds {
+		for i, precision := range precisions {
+			rate := float64(covered[kind][i]) / trials
+			t.Logf("%s precision %g: coverage %.3f", kind, precision, rate)
+			if rate < 0.90 {
+				t.Errorf("%s precision %g: interval covered exact value in %d/%d trials (%.3f), want >= 0.90",
+					kind, precision, covered[kind][i], trials, rate)
+			}
+		}
+	}
+}

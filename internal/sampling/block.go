@@ -58,7 +58,7 @@ type mcBlocks struct {
 // BeginBlocks implements BlockSampler. The scalar walk consumes randomness
 // per (edge, world), so block boundaries are invisible to the stream.
 func (mc *MonteCarlo) BeginBlocks(c *ugraph.CSR, s, t ugraph.NodeID) BlockStream {
-	mc.sc.reset(c.N(), c.EdgeIDBound())
+	mc.sc.reset(c.N())
 	return &mcBlocks{mc: mc, c: c, s: s, t: t}
 }
 

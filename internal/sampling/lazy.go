@@ -67,7 +67,7 @@ func (lz *Lazy) geometricSkip(p float64) int64 {
 }
 
 func (lz *Lazy) prepare(c *ugraph.CSR) {
-	lz.sc.reset(c.N(), c.EdgeIDBound())
+	lz.sc.reset(c.N())
 	if cap(lz.nextOn) < c.EdgeIDBound() {
 		lz.nextOn = make([]int64, c.EdgeIDBound())
 	}
@@ -81,7 +81,8 @@ func (lz *Lazy) prepare(c *ugraph.CSR) {
 // present decides the edge's state in the current sample, advancing its
 // geometric schedule as needed; p is the edge's probability (handed in by
 // the walk from the arc-aligned stream). Called at most once per
-// (edge, sample); the caller memoizes via the epoch arrays.
+// (edge, sample): the walk examines each arc once and decides an edge only
+// toward an unvisited node.
 func (lz *Lazy) present(p float64, eid int32) bool {
 	next := lz.nextOn[eid]
 	if next == 0 {
@@ -165,10 +166,10 @@ func (lz *Lazy) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool) []float64
 	return counts
 }
 
-// walk mirrors sampledWalk but consults the geometric schedule. There is a
-// subtlety shared with the plain sampler: an edge's state must be decided
-// at most once per sample, which the epoch memo guarantees — otherwise the
-// geometric schedule would advance twice.
+// walk mirrors sampledWalk but consults the geometric schedule. Like the
+// plain sampler's coin, an edge's state is decided at most once per
+// sample: each node is expanded once, and the arc back along an undirected
+// edge leads to an already visited node, so no edge is decided twice.
 func (lz *Lazy) walk(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, counts []float64) bool {
 	sc := &lz.sc
 	sc.nextEpoch()
@@ -199,14 +200,7 @@ func (lz *Lazy) walk(c *ugraph.CSR, src, t ugraph.NodeID, forward bool, counts [
 				if sc.nodeEp[a.To] == sc.epoch {
 					continue
 				}
-				if st := sc.edgeSt[a.EID]; st != sc.epoch && st != -sc.epoch {
-					if lz.present(probs[i], a.EID) {
-						sc.edgeSt[a.EID] = sc.epoch
-					} else {
-						sc.edgeSt[a.EID] = -sc.epoch
-						continue
-					}
-				} else if st != sc.epoch {
+				if !lz.present(probs[i], a.EID) {
 					continue
 				}
 				sc.nodeEp[a.To] = sc.epoch

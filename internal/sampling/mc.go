@@ -45,7 +45,7 @@ func (mc *MonteCarlo) ReliabilityCSR(c *ugraph.CSR, s, t ugraph.NodeID) float64 
 	if s == t {
 		return 1
 	}
-	mc.sc.reset(c.N(), c.EdgeIDBound())
+	mc.sc.reset(c.N())
 	hits := 0
 	for i := 0; i < mc.z; i++ {
 		if i&(ctxCheckBlock-1) == 0 && mc.cancelled() {
@@ -85,7 +85,7 @@ func (mc *MonteCarlo) ReliabilityToCSR(c *ugraph.CSR, t ugraph.NodeID) []float64
 }
 
 func (mc *MonteCarlo) vector(c *ugraph.CSR, src ugraph.NodeID, forward bool) []float64 {
-	mc.sc.reset(c.N(), c.EdgeIDBound())
+	mc.sc.reset(c.N())
 	counts := make([]float64, c.N())
 	drawn := mc.z
 	for i := 0; i < mc.z; i++ {

@@ -174,9 +174,9 @@ type vecScratch struct {
 }
 
 func (sc *vecScratch) reset(n, m int) {
-	// Mirror scratch.reset: when the epoch counter restarts, every stamp
-	// array must be zeroed, not just the one that grew, or stale stamps
-	// from earlier epochs would validate garbage words.
+	// When the epoch counter restarts, every stamp array must be zeroed,
+	// not just the one that grew, or stale stamps from earlier epochs
+	// would validate garbage words.
 	if len(sc.nodes) < n || len(sc.edges) < m {
 		if len(sc.nodes) < n {
 			sc.nodes = make([]laneNode, n)
@@ -212,11 +212,12 @@ func (sc *vecScratch) nextEpoch() {
 // which t was reached (0 when t < 0). Edge existence masks are sampled
 // lazily on first examination and memoized per block, so an undirected edge
 // examined from both endpoints — or a node re-expanded when new lanes
-// arrive — sees one consistent set of worlds, exactly like the scalar
-// walk's signed-epoch memoization. When counts != nil every node's counter
-// grows by the number of lanes that reached it (the pop-count merge of the
-// ReliabilityFrom/To estimators). A node is enqueued exactly when its
-// pending lane set transitions from empty to non-empty, so each node is
+// arrive — sees one consistent set of worlds. (The scalar walks need no
+// such memo: they expand each node once, so they never examine an edge
+// twice.) When counts != nil every node's counter grows by the number of
+// lanes that reached it (the pop-count merge of the ReliabilityFrom/To
+// estimators). A node is enqueued exactly when its pending lane set
+// transitions from empty to non-empty, so each node is
 // expanded once per wave of newly arrived lanes; t itself is never
 // expanded, matching the scalar early exit, and the BFS stops outright
 // once every active lane has reached t.

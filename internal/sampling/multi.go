@@ -14,7 +14,7 @@ func (mc *MonteCarlo) MultiSourceReach(g *ugraph.Graph, sources []ugraph.NodeID)
 // influence loops freeze once and evaluate candidate edges on WithEdges
 // overlays.
 func (mc *MonteCarlo) MultiSourceReachCSR(c *ugraph.CSR, sources []ugraph.NodeID) []float64 {
-	mc.sc.reset(c.N(), c.EdgeIDBound())
+	mc.sc.reset(c.N())
 	counts := make([]float64, c.N())
 	drawn := mc.z
 	for i := 0; i < mc.z; i++ {
@@ -60,14 +60,7 @@ func (mc *MonteCarlo) multiWalk(c *ugraph.CSR, sources []ugraph.NodeID, counts [
 				if sc.nodeEp[a.To] == sc.epoch {
 					continue
 				}
-				if st := sc.edgeSt[a.EID]; st != sc.epoch && st != -sc.epoch {
-					if mc.r.Float64() < probs[i] {
-						sc.edgeSt[a.EID] = sc.epoch
-					} else {
-						sc.edgeSt[a.EID] = -sc.epoch
-						continue
-					}
-				} else if st != sc.epoch {
+				if mc.r.Float64() >= probs[i] {
 					continue
 				}
 				sc.nodeEp[a.To] = sc.epoch
@@ -91,7 +84,7 @@ func (mc *MonteCarlo) ExpectedPairHops(g *ugraph.Graph, sources, targets []ugrap
 
 // ExpectedPairHopsCSR is ExpectedPairHops on a frozen snapshot.
 func (mc *MonteCarlo) ExpectedPairHopsCSR(c *ugraph.CSR, sources, targets []ugraph.NodeID, penalty float64) float64 {
-	mc.sc.reset(c.N(), c.EdgeIDBound())
+	mc.sc.reset(c.N())
 	dist := make([]int32, c.N())
 	total := 0.0
 	drawn := mc.z
@@ -145,14 +138,7 @@ func (mc *MonteCarlo) walkDistances(c *ugraph.CSR, s ugraph.NodeID, dist []int32
 				if sc.nodeEp[a.To] == sc.epoch {
 					continue
 				}
-				if st := sc.edgeSt[a.EID]; st != sc.epoch && st != -sc.epoch {
-					if mc.r.Float64() < probs[i] {
-						sc.edgeSt[a.EID] = sc.epoch
-					} else {
-						sc.edgeSt[a.EID] = -sc.epoch
-						continue
-					}
-				} else if st != sc.epoch {
+				if mc.r.Float64() >= probs[i] {
 					continue
 				}
 				sc.nodeEp[a.To] = sc.epoch

@@ -17,7 +17,7 @@ type samplerKind struct {
 	// budgets are multiples of it except the last, which absorbs the tail.
 	quantum int
 	// pool holds idle serial samplers. Their scratch arrays (epoch-stamped
-	// visited/edge-state buffers, RSS arenas) stay sized to the largest
+	// visited buffers, per-edge state, RSS arenas) stay sized to the largest
 	// graph they ran on, so a warm lease allocates nothing graph-sized.
 	pool sync.Pool
 }

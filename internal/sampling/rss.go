@@ -74,7 +74,7 @@ func (rs *RSS) SetThreshold(th int) {
 }
 
 func (rs *RSS) prepare(c *ugraph.CSR) {
-	rs.sc.reset(c.N(), c.EdgeIDBound())
+	rs.sc.reset(c.N())
 	if cap(rs.status) < c.EdgeIDBound() {
 		rs.status = make([]int8, c.EdgeIDBound())
 	}

@@ -40,8 +40,8 @@
 // A CSR is immutable and safe for unrestricted concurrent traversal. The
 // serial estimators (MonteCarlo, RSS, Lazy) are deterministic given their
 // construction seed but are NOT safe for concurrent use: they reuse
-// internal scratch buffers (epoch-stamped visited/edge-state arrays, BFS
-// queue, RSS conditioning stack) across calls. ParallelSampler wraps any
+// internal scratch buffers (epoch-stamped visited arrays, per-edge state,
+// BFS queue, RSS conditioning stack) across calls. ParallelSampler wraps any
 // of them into a goroutine-safe estimator that runs each call on one
 // snapshot, shards the sample budget across a worker pool and merges the shard
 // estimates deterministically, so a fixed seed yields bit-identical results
@@ -158,38 +158,21 @@ type BatchSampler interface {
 }
 
 // scratch holds reusable per-snapshot working memory shared by the
-// estimators. The epoch trick avoids clearing the visited/edge-state
-// arrays between the thousands of BFS walks a single query performs, and
-// the walk queue is reused across samples, so the steady-state inner loop
-// performs zero heap allocations (asserted by the alloc regression tests).
+// estimators. The epoch trick avoids clearing the visited array between
+// the thousands of BFS walks a single query performs, and the walk queue
+// is reused across samples, so the steady-state inner loop performs zero
+// heap allocations (asserted by the alloc regression tests).
 type scratch struct {
 	epoch  int32
 	nodeEp []int32 // per-node visited epoch
-	// edgeSt packs the per-edge sampled state and its epoch into one
-	// array: |edgeSt[e]| == epoch means e was sampled this walk, and the
-	// sign carries the coin (+epoch present, -epoch absent). One int32
-	// load where the old layout (epoch array + bool array) took two.
-	edgeSt []int32
 	queue  []ugraph.NodeID
 }
 
-func (sc *scratch) reset(n, m int) {
-	// When the epoch counter restarts, EVERY mark array must be zeroed —
-	// not just the one that grew. A stale mark equal to a reused low epoch
-	// would make the BFS skip an unvisited node (e.g. a base-graph call
-	// followed by a one-edge-larger overlay call reallocates edgeSt only,
-	// while nodeEp still holds marks from the previous epochs).
-	if len(sc.nodeEp) < n || len(sc.edgeSt) < m {
-		if len(sc.nodeEp) < n {
-			sc.nodeEp = make([]int32, n)
-		} else {
-			clear(sc.nodeEp)
-		}
-		if len(sc.edgeSt) < m {
-			sc.edgeSt = make([]int32, m)
-		} else {
-			clear(sc.edgeSt)
-		}
+func (sc *scratch) reset(n int) {
+	// A grown array starts zeroed, and the epoch counter restarts with it:
+	// no stale mark can equal a reused low epoch.
+	if len(sc.nodeEp) < n {
+		sc.nodeEp = make([]int32, n)
 		sc.epoch = 0
 	}
 	if cap(sc.queue) < n {
@@ -197,17 +180,12 @@ func (sc *scratch) reset(n, m int) {
 	}
 }
 
-// nextEpoch advances the epoch counter, recycling the arrays. On wraparound
-// (after ~2^31 walks) it clears them explicitly.
+// nextEpoch advances the epoch counter, recycling the visited array. On
+// wraparound (after ~2^31 walks) it clears the array explicitly.
 func (sc *scratch) nextEpoch() {
 	sc.epoch++
 	if sc.epoch <= 0 {
-		for i := range sc.nodeEp {
-			sc.nodeEp[i] = 0
-		}
-		for i := range sc.edgeSt {
-			sc.edgeSt[i] = 0
-		}
+		clear(sc.nodeEp)
 		sc.epoch = 1
 	}
 }
@@ -215,19 +193,22 @@ func (sc *scratch) nextEpoch() {
 // sampledWalk performs one possible-world BFS from src over a frozen
 // snapshot. When t >= 0 it stops early upon reaching t and returns whether
 // it did; when counts != nil every reached node's counter is incremented.
-// Edge states are sampled lazily and memoized per walk via the signed
-// epoch array, so an undirected edge examined from both endpoints gets one
-// consistent coin flip. A non-nil status slice conditions the walk:
-// entries +1 force the edge present, -1 absent, 0 leaves it random — this
-// is what the RSS strata use. Overlay arcs are visited after the base row
-// of each node, matching mutable-Graph arc order.
+// Edge states are sampled lazily, when the walk first needs them: a coin
+// is drawn only for an arc from a dequeued node to an unvisited one, and
+// no arc is examined twice in one walk — the arc back along an undirected
+// edge leads to an already visited node — so every edge gets at most one
+// coin per world and nothing needs memoizing. A non-nil status slice
+// conditions the walk: entries +1 force the edge present, -1 absent, 0
+// leaves it random — this is what the RSS strata use. Overlay arcs are
+// visited after the base row of each node, matching mutable-Graph arc
+// order.
 func sampledWalk(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, counts []float64, status []int8) bool {
 	sc.nextEpoch()
 	// Hoist the scratch fields into locals: the loop below is the hottest
 	// code in the library and the compiler cannot cache pointer-reached
 	// fields across the append.
 	epoch := sc.epoch
-	nodeEp, edgeSt := sc.nodeEp, sc.edgeSt
+	nodeEp := sc.nodeEp
 	queue := sc.queue[:0]
 	queue = append(queue, src)
 	nodeEp[src] = epoch
@@ -263,14 +244,7 @@ func sampledWalk(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugraph.No
 						continue
 					}
 				}
-				if st := edgeSt[a.EID]; st != epoch && st != -epoch {
-					if r.Float64() < probs[i] {
-						edgeSt[a.EID] = epoch
-					} else {
-						edgeSt[a.EID] = -epoch
-						continue
-					}
-				} else if st != epoch {
+				if r.Float64() >= probs[i] {
 					continue
 				}
 			traverse:
@@ -302,7 +276,7 @@ func sampledWalk(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugraph.No
 func sampledWalkPlain(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugraph.NodeID, forward bool) bool {
 	sc.nextEpoch()
 	epoch := sc.epoch
-	nodeEp, edgeSt := sc.nodeEp, sc.edgeSt
+	nodeEp := sc.nodeEp
 	queue := sc.queue[:0]
 	queue = append(queue, src)
 	nodeEp[src] = epoch
@@ -327,14 +301,7 @@ func sampledWalkPlain(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugra
 				if nodeEp[a.To] == epoch {
 					continue
 				}
-				if st := edgeSt[a.EID]; st != epoch && st != -epoch {
-					if r.Float64() < probs[i] {
-						edgeSt[a.EID] = epoch
-					} else {
-						edgeSt[a.EID] = -epoch
-						continue
-					}
-				} else if st != epoch {
+				if r.Float64() >= probs[i] {
 					continue
 				}
 				nodeEp[a.To] = epoch
@@ -420,7 +387,7 @@ func deterministicReach(sc *scratch, c *ugraph.CSR, src, target ugraph.NodeID, f
 func sampledWalkCond(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugraph.NodeID, forward bool, status []int8) bool {
 	sc.nextEpoch()
 	epoch := sc.epoch
-	nodeEp, edgeSt := sc.nodeEp, sc.edgeSt
+	nodeEp := sc.nodeEp
 	queue := sc.queue[:0]
 	queue = append(queue, src)
 	nodeEp[src] = epoch
@@ -451,14 +418,7 @@ func sampledWalkCond(sc *scratch, r *rng.SplitMix64, c *ugraph.CSR, src, t ugrap
 				case -1:
 					continue
 				}
-				if st := edgeSt[a.EID]; st != epoch && st != -epoch {
-					if r.Float64() < probs[i] {
-						edgeSt[a.EID] = epoch
-					} else {
-						edgeSt[a.EID] = -epoch
-						continue
-					}
-				} else if st != epoch {
+				if r.Float64() >= probs[i] {
 					continue
 				}
 			traverse:

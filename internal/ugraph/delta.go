@@ -24,8 +24,8 @@ import (
 // upward. IDs are therefore sparse on layered snapshots — EdgeIDBound, not
 // M, bounds per-edge scratch arrays. A full rebuild renumbers IDs densely
 // instead; that is invisible to sampling, which only needs a consistent
-// edge-identity partition per snapshot (coins are memoized per ID within
-// one sample, never compared across snapshots).
+// edge-identity partition per snapshot (per-edge sampler state is keyed
+// by ID within one query, never compared across snapshots).
 
 // DeltaOp is the operation of one DeltaEdit.
 type DeltaOp uint8
